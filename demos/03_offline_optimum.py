@@ -7,9 +7,15 @@ assignment: every request is served either by the previous server of the
 same node (free), by a server evicted from another node (that node's
 weight), or by one of k free initial placements.
 
+Equivalently, a server parked on a node until that node's next request
+saves the node's weight, and with k servers at most k-1 parked intervals
+overlap any request.  OPT(1) pays every interval; OPT(k) subtracts the
+heaviest set of intervals at most k-1 deep, which a min-cost flow on the
+request timeline finds one extra server (one shortest path) at a time.
+
 Three solvers cross-check one another:
 
-  * opt_flow       min-cost flow, any weights, returns the schedule
+  * opt_flow       interval flow, any weights, returns the schedule
   * opt_belady     farthest-in-future simulation, unit weights only
   * opt_bruteforce exhaustive search over eviction choices, tiny inputs
 """

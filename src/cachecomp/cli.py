@@ -6,13 +6,16 @@ goes to --out when given, otherwise below the summary.  All output is
 byte-deterministic for a fixed argv: seeds default to a fixed constant
 (0), never the clock.
 
-Exit codes: 0 success, 1 domain error (bad trace, infeasible method),
-2 usage error, 3 certificate check failure.
+Exit codes: 0 success, 1 domain error (bad or unreadable trace, any
+other OSError, infeasible method), 2 usage error, 3 certificate check
+failure, 141 stdout closed before all output was written (as for a
+process killed by SIGPIPE, e.g. ``cachecomp sweep ... | head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +36,7 @@ __all__ = ["main", "build_parser"]
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 CERT_FAILURE = 3
+BROKEN_PIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,8 +245,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit
+        # does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     except ValueError as exc:

@@ -3,25 +3,40 @@
 The optimum is the minimum-cost assignment of a predecessor to every
 request: request j is served either by the server that previously served
 request i (cost 0 if both are to the same node, otherwise the weight of
-node r_i) or by one of h initial placements (cost 0).  ``opt_flow`` solves
-this exactly as an integral min-cost flow by successive shortest
-augmenting paths with node potentials.
+node r_i) or by one of h initial placements (cost 0).
 
-Rather than materializing one arc per (i, j) pair, the network routes
-"server became free at time i" units along a shared timeline chain, which
-is cost-equivalent and keeps the arc count linear:
+``opt_flow`` solves it as max-weight interval scheduling (the reduction of
+Chrobak, Karloff, Payne and Vishwanathan 1991; the flow of Carlisle and
+Lloyd 1995).  Number the requests 1..N and let next(i) be the next request
+to the same node, or N+1 if there is none.  Each i < N with
+next(i) > i + 1 is an interval of weight w(r_i) covering requests
+i+1..next(i)-1: parking r_i's server over them saves evicting r_i.  One
+server pays every such weight, so OPT(1) is their sum ``base``; with h
+servers one serves the current request and at most h-1 stay parked, so
 
-    source -> first timeline node        cap h, cost 0   (initial servers)
-    source -> A_i                        cap 1, cost 0
-    A_i -> B_(next request of same node) cap 1, cost 0   (server stays put)
-    A_i -> timeline at i+1               cap 1, cost w(r_i)  (eviction)
-    timeline t -> timeline t+1           cap N, cost 0
-    timeline j -> B_j                    cap 1, cost 0
-    B_j -> sink                          cap 1, cost 0
+    OPT(h) = base - max weight of intervals at most h-1 deep at every request.
 
-Restricting the stay arc to the next occurrence of the same node loses no
-optimality: any solution using a later occurrence can be rewired pairwise
-without changing cost.
+The max-weight set is a min-cost flow of h-1 units on the request
+timeline.  Node t (0..N) is the moment after request t:
+
+    t-1 -> t                     cap k, cost 0         (request t)
+    i -> next(i) - 1             cap 1, cost -w(r_i)   (interval i)
+
+Every unit runs from node 0 to node N and crosses each request once, so
+h-1 units cover each request with at most h-1 intervals.  Successive
+shortest paths send one unit per extra server: potentials seeded by one
+pass over the DAG make all reduced costs nonnegative, and each unit is
+then one Dijkstra.  Once a unit saves nothing, no later one can, so the
+profile OPT(1..k) costs at most k-1 Dijkstra runs.
+
+The schedule is decoded from the kept intervals: a request whose interval
+is kept, or whose node is requested again right away, hands its server to
+next(i).  Every other request takes the longest-free server from a FIFO
+pool that starts with h initial placements (0), and a request whose
+server is not handed on returns it to the pool once served.  At most h-1
+kept intervals cover a request, so the pool is never empty when drawn
+from, and each dropped interval is paid at most once, so the schedule
+costs exactly OPT(h).
 """
 
 from __future__ import annotations
@@ -44,7 +59,7 @@ __all__ = [
 
 _INF = float("inf")
 
-DEFAULT_FLOW_CAP = 5000
+DEFAULT_FLOW_CAP = 100_000
 BRUTE_FORCE_MAX_LEN = 12
 BRUTE_FORCE_MAX_K = 4
 
@@ -71,8 +86,9 @@ class OptSchedule:
 class _MinCostFlow:
     """Paired-arc residual network; successive shortest paths with potentials.
 
-    All arc costs are nonnegative, so zero initial potentials are valid and
-    each augmentation is one Dijkstra over reduced costs.
+    Every arc points from a lower node to a higher one, so one pass in node
+    order seeds potentials under which negative arc costs reduce to >= 0,
+    and each augmentation is one Dijkstra over reduced costs.
     """
 
     def __init__(self, n: int):
@@ -98,10 +114,31 @@ class _MinCostFlow:
     def flow_on(self, aid: int) -> int:
         return self.cap[aid ^ 1]
 
-    def _dijkstra(self, src: int) -> tuple[list[float], list[int]]:
-        dist: list[float] = [_INF] * self.n
-        parent = [-1] * self.n
-        done = bytearray(self.n)
+    def seed_potentials(self) -> None:
+        """Set each potential to min(0, cheapest path cost into the node).
+
+        One pass in node order suffices because every arc points forward.
+        """
+        pot, to, cap, cost = self.pot, self.to, self.cap, self.cost
+        for u in range(self.n):
+            pu = pot[u]
+            for aid in self.adj[u]:
+                if cap[aid] > 0:
+                    v = to[aid]
+                    if pu + cost[aid] < pot[v]:
+                        pot[v] = pu + cost[aid]
+
+    def send_unit(self, src: int, sink: int) -> int:
+        """Push one unit along a shortest path; return its true cost.
+
+        Dijkstra stops when the sink is settled.  Nodes not settled by then
+        are at least as far, so raising every potential by
+        min(dist, dist[sink]) keeps all residual reduced costs >= 0.
+        """
+        n = self.n
+        dist: list[float] = [_INF] * n
+        parent = [-1] * n
+        done = bytearray(n)
         dist[src] = 0
         heap: list[tuple[float, int]] = [(0, src)]
         adj, to, cap, cost, pot = self.adj, self.to, self.cap, self.cost, self.pot
@@ -110,6 +147,8 @@ class _MinCostFlow:
             if done[u]:
                 continue
             done[u] = 1
+            if u == sink:
+                break
             pu = pot[u]
             for aid in adj[u]:
                 if cap[aid] <= 0:
@@ -122,168 +161,89 @@ class _MinCostFlow:
                     dist[v] = nd
                     parent[v] = aid
                     heapq.heappush(heap, (nd, v))
-        return dist, parent
-
-    def _apply_potentials(self, dist: list[float], cap_at: float) -> None:
-        pot = self.pot
-        for v in range(self.n):
-            d = dist[v]
-            if d < cap_at:
-                pot[v] += int(d)
-            else:
-                pot[v] += int(cap_at)
-
-    def _augment_unit(self, parent: list[int], sink: int, stop: int) -> int:
-        """Push one unit along parent arcs from sink back to stop; true cost."""
-        cost = 0
+        reach = int(dist[sink])
+        true_cost = reach + pot[sink] - pot[src]
+        for v in range(n):
+            pot[v] += min(dist[v], reach)
         v = sink
-        while v != stop:
+        while v != src:
             aid = parent[v]
-            self.cap[aid] -= 1
-            self.cap[aid ^ 1] += 1
-            cost += self.cost[aid]
-            v = self.to[aid ^ 1]
-        return cost
-
-    def send_unit(self, src: int, sink: int) -> int | None:
-        """One shortest-path augmentation of a single unit; None if blocked."""
-        dist, parent = self._dijkstra(src)
-        if dist[sink] == _INF:
-            return None
-        true_cost = int(dist[sink]) + self.pot[sink] - self.pot[src]
-        self._apply_potentials(dist, dist[sink])
-        self._augment_unit(parent, sink, src)
+            cap[aid] -= 1
+            cap[aid ^ 1] += 1
+            v = to[aid ^ 1]
         return true_cost
 
 
-class _OfflineSolver:
-    """Holds the compressed network for one trace; supports raising the
-    initial-placement capacity one unit at a time so the whole OPT(1..k)
-    profile costs a single solve plus one reoptimization per extra server."""
+class _IntervalFlow:
+    """The interval network of one trace, for up to k servers."""
 
-    def __init__(self, trace: RequestTrace):
+    def __init__(self, trace: RequestTrace, k: int):
         n = len(trace)
-        self.trace = trace
-        self.n_requests = n
-        self.src = 0
-        self.sink = 1
-        base_a = 2                     # A_i, requests 1..n-1
-        base_b = base_a + max(n - 1, 0)  # B_j, requests 1..n
-        base_t = base_b + n            # timeline nodes 1..n
-        self._base_b = base_b
-        self._base_t = base_t
-        self.g = _MinCostFlow(base_t + n if n else 2)
-        self.cost_so_far = 0
-        self.placed_cap = 0
-        self.free_arc = -1
-        self.stay_arcs: dict[int, int] = {}
-        self.evict_arcs: dict[int, int] = {}
-        self.tb_arcs: list[int] = [-1] * (n + 1)
-        if n == 0:
-            return
         reqs = trace.requests
-        # next occurrence of the same node, 1-based; 0 = none
-        nxt = [0] * (n + 1)
+        # next request to the same node, 1-based; n + 1 = none
+        nxt = [n + 1] * (n + 1)
         last_seen: dict[int, int] = {}
         for j in range(n, 0, -1):
             v = reqs[j - 1]
-            nxt[j] = last_seen.get(v, 0)
+            nxt[j] = last_seen.get(v, n + 1)
             last_seen[v] = j
-        g = self.g
-        self.free_arc = g.add_arc(self.src, self._t(1), 0, 0)
+        self.n = n
+        self.k = k
+        self.nxt = nxt
+        self.g = g = _MinCostFlow(n + 1)
+        for t in range(1, n + 1):
+            g.add_arc(t - 1, t, k, 0)
+        self.base = 0
+        self.interval_arcs: dict[int, int] = {}
         for i in range(1, n):
-            a_i = base_a + (i - 1)
-            g.add_arc(self.src, a_i, 1, 0)
-            self.evict_arcs[i] = g.add_arc(
-                a_i, self._t(i + 1), 1, trace.weights[reqs[i - 1]]
-            )
-            if nxt[i]:
-                self.stay_arcs[i] = g.add_arc(a_i, self._b(nxt[i]), 1, 0)
-        for j in range(1, n):
-            g.add_arc(self._t(j), self._t(j + 1), n, 0)
-        for j in range(1, n + 1):
-            self.tb_arcs[j] = g.add_arc(self._t(j), self._b(j), 1, 0)
-            g.add_arc(self._b(j), self.sink, 1, 0)
+            if nxt[i] > i + 1:
+                w = trace.weights[reqs[i - 1]]
+                self.base += w
+                self.interval_arcs[i] = g.add_arc(i, nxt[i] - 1, 1, -w)
+        g.seed_potentials()
 
-    def _b(self, j: int) -> int:
-        return self._base_b + (j - 1)
-
-    def _t(self, j: int) -> int:
-        return self._base_t + (j - 1)
-
-    def solve(self, h: int) -> int:
-        """Min cost with h initial placements; call once, then raise_cap."""
-        if self.n_requests == 0:
-            self.placed_cap = h
-            return 0
-        self.g.cap[self.free_arc] += h - self.placed_cap
-        self.placed_cap = h
-        for _ in range(self.n_requests):
-            pushed = self.g.send_unit(self.src, self.sink)
-            assert pushed is not None, "every instance with h >= 1 is feasible"
-            self.cost_so_far += pushed
-        return self.cost_so_far
-
-    def raise_cap(self) -> int:
-        """Allow one more initial placement and reoptimize.
-
-        The extra unit of capacity admits at most one cost-improving cycle
-        through the raised arc; a single Dijkstra finds it or proves none
-        exists, and the potentials are patched so later raises stay valid.
-        """
-        self.placed_cap += 1
-        if self.n_requests == 0:
-            return 0
-        g = self.g
-        aid = self.free_arc
-        g.cap[aid] += 1
-        head = g.to[aid]  # first timeline node
-        mu = g.cost[aid] + g.pot[self.src] - g.pot[head]
-        if mu >= 0:
-            return self.cost_so_far
-        dist, parent = g._dijkstra(head)
-        gain = dist[self.src]
-        if gain == _INF or int(gain) + mu >= 0:
-            g._apply_potentials(dist, float(-mu))
-            return self.cost_so_far
-        cycle_cost = g._augment_unit(parent, self.src, head)
-        g.cap[aid] -= 1
-        g.cap[aid ^ 1] += 1
-        self.cost_so_far += cycle_cost + g.cost[aid]
-        g._apply_potentials(dist, float(-mu))
-        return self.cost_so_far
+    def profile(self) -> list[int]:
+        """[OPT(1), ..., OPT(k)]: one augmentation per extra server until
+        one saves nothing, then the last value repeated."""
+        profile = [self.base]
+        while len(profile) < self.k:
+            saving = self.g.send_unit(0, self.n)
+            if saving == 0:
+                break
+            profile.append(profile[-1] + saving)
+        profile += [profile[-1]] * (self.k - len(profile))
+        return profile
 
     def decode(self) -> tuple[int, ...]:
-        """Predecessor array from the current flow.
-
-        Units freed onto the timeline are matched to later timeline-served
-        requests first-freed-first-reused, which is deterministic and keeps
-        every predecessor strictly earlier than the request it serves.
-        """
-        n = self.n_requests
-        pred = [0] * (n + 1)
-        if n == 0:
-            return tuple(pred)
-        g = self.g
-        stay_into: dict[int, int] = {}
-        for i, aid in self.stay_arcs.items():
-            if g.flow_on(aid):
-                j = g.to[aid] - self._base_b + 1
-                stay_into[j] = i
-        freed_at: dict[int, list[int]] = {}
-        for i, aid in self.evict_arcs.items():
-            if g.flow_on(aid):
-                freed_at.setdefault(i + 1, []).append(i)
-        pool: deque[int] = deque([0] * g.flow_on(self.free_arc))
+        """Predecessor array of the flow left by ``profile`` (see the module
+        docstring)."""
+        n, nxt, g = self.n, self.nxt, self.g
+        pred = [-1] * (n + 1)
+        pred[0] = 0
+        hands_on = [False] * (n + 1)
+        for i in range(1, n):
+            aid = self.interval_arcs.get(i)
+            hands_on[i] = aid is None or g.flow_on(aid) == 1
+            if hands_on[i] and nxt[i] <= n:
+                pred[nxt[i]] = i
+        pool: deque[int] = deque([0] * self.k)
         for j in range(1, n + 1):
-            for i in sorted(freed_at.get(j, ())):
-                pool.append(i)
-            if j in stay_into:
-                pred[j] = stay_into[j]
-            else:
-                assert g.flow_on(self.tb_arcs[j]), "every request is served"
+            if pred[j] < 0:
                 pred[j] = pool.popleft()
+            if not hands_on[j]:
+                pool.append(j)
         return tuple(pred)
+
+
+def _interval_flow(trace: RequestTrace, k: int, size_cap: int) -> _IntervalFlow:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(trace) > size_cap:
+        raise InstanceSizeError(
+            f"trace has {len(trace)} requests > cap {size_cap}; "
+            "use opt_belady for unit weights or raise size_cap"
+        )
+    return _IntervalFlow(trace, k)
 
 
 def opt_flow(trace: RequestTrace, k: int, size_cap: int = DEFAULT_FLOW_CAP) -> OptSchedule:
@@ -292,33 +252,16 @@ def opt_flow(trace: RequestTrace, k: int, size_cap: int = DEFAULT_FLOW_CAP) -> O
     Raises InstanceSizeError beyond ``size_cap`` requests; use
     ``opt_belady`` (unit weights) or sample the trace instead.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(trace) > size_cap:
-        raise InstanceSizeError(
-            f"trace has {len(trace)} requests > cap {size_cap}; "
-            "use opt_belady for unit weights or raise size_cap"
-        )
-    solver = _OfflineSolver(trace)
-    cost = solver.solve(k)
-    return OptSchedule(solver.decode(), cost, k)
+    net = _interval_flow(trace, k, size_cap)
+    cost = net.profile()[-1]
+    return OptSchedule(net.decode(), cost, k)
 
 
 def opt_flow_profile(
     trace: RequestTrace, k: int, size_cap: int = DEFAULT_FLOW_CAP
 ) -> list[int]:
     """[OPT(1), OPT(2), ..., OPT(k)] from one incremental flow solve."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(trace) > size_cap:
-        raise InstanceSizeError(
-            f"trace has {len(trace)} requests > cap {size_cap}"
-        )
-    solver = _OfflineSolver(trace)
-    profile = [solver.solve(1)]
-    for _ in range(k - 1):
-        profile.append(solver.raise_cap())
-    return profile
+    return _interval_flow(trace, k, size_cap).profile()
 
 
 def opt_belady(trace: RequestTrace, k: int) -> int:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cachecomp import cli
@@ -155,6 +160,34 @@ class TestSweep:
             "--strategies", "lru", "--c-family", "const:2", "--d", "1/2",
         )
         assert code == 0
+
+
+class TestOSErrors:
+    def test_unreadable_trace_is_domain_error(self, capsys, trace_file, monkeypatch):
+        def deny(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", deny)
+        code, out, err = run_cli(capsys, "optimal", "--k", "2", "--trace", trace_file)
+        assert code == cli.DOMAIN_ERROR
+        assert err.startswith("error:") and "Permission denied" in err
+        assert out == ""
+
+    def test_closed_stdout_exits_quietly(self, trace_file):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from cachecomp.cli import main; sys.exit(main())",
+                 "sweep", "--trace", trace_file, "--n", "3", "--strategies", "lru,fwf"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.BROKEN_PIPE
+        assert proc.stderr == b""
 
 
 class TestUsageErrors:

@@ -1,9 +1,13 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachecomp.offline import (
     InstanceSizeError,
+    OptSchedule,
     opt_belady,
     opt_bruteforce,
     opt_flow,
@@ -43,25 +47,58 @@ class TestOptFlow:
 
     def test_schedule_is_well_formed(self):
         rng = random.Random(1)
-        for trial in range(40):
-            t = generate_random(rng.choice([2, 3, 5]), rng.randint(1, 40), 6, seed=trial)
-            k = rng.randint(1, 4)
-            sched = opt_flow(t, k)
-            used = set()
-            zero_uses = 0
-            cost = 0
-            for j in range(1, len(t) + 1):
-                i = sched.predecessor[j]
-                assert 0 <= i < j
-                if i == 0:
-                    zero_uses += 1
-                else:
-                    assert i not in used
-                    used.add(i)
-                    vi, vj = t.requests[i - 1], t.requests[j - 1]
-                    cost += 0 if vi == vj else t.weights[vi]
-            assert zero_uses <= k
-            assert cost == sched.cost
+        for trial in range(60):
+            nodes = rng.choice([2, 3, 5, 12, 40])
+            t = generate_random(nodes, rng.randint(1, 200), rng.choice([1, 6, 20]), seed=trial)
+            assert_schedule_is_optimal(t, rng.randint(1, 8))
+
+    @pytest.mark.parametrize(
+        "text,k",
+        [
+            ("a 3\nb\nc\na 3\nb\nc\n", 3),  # k = distinct nodes
+            ("a 3\nb\nc\na 3\nb\nc\n", 6),  # k > distinct nodes
+            ("a 3\nb\n", 5),  # k > N
+            ("", 3),  # empty trace
+            ("a 4\n", 1),  # one request
+            ("a 4\n", 2),
+        ],
+    )
+    def test_schedule_edge_cases(self, text, k):
+        t = parse_trace(text)
+        sched = assert_schedule_is_optimal(t, k)
+        assert len(sched.predecessor) == len(t) + 1
+        if k >= t.distinct_requested():
+            assert sched.cost == 0
+
+    def test_heavy_node_stays_parked(self):
+        # h is never requested again; keeping its server parked saves 9,
+        # more than the three unit evictions the other server then pays
+        t = parse_trace("h 9\na\nb\na\nb\n")
+        sched = assert_schedule_is_optimal(t, 2)
+        assert sched.cost == 3
+        assert 1 not in sched.predecessor[1:]
+
+
+def assert_schedule_is_optimal(t: RequestTrace, k: int) -> OptSchedule:
+    """The schedule is well formed, its recomputed cost is its reported
+    cost, and that cost is the profile's OPT(k)."""
+    sched = opt_flow(t, k)
+    used = set()
+    zero_uses = 0
+    cost = 0
+    for j in range(1, len(t) + 1):
+        i = sched.predecessor[j]
+        assert 0 <= i < j
+        if i == 0:
+            zero_uses += 1
+        else:
+            assert i not in used
+            used.add(i)
+            vi, vj = t.requests[i - 1], t.requests[j - 1]
+            cost += 0 if vi == vj else t.weights[vi]
+    assert zero_uses <= k
+    assert cost == sched.cost == opt_flow_profile(t, k)[-1]
+    return sched
 
 
 class TestOracleTriangle:
@@ -87,6 +124,50 @@ class TestOracleTriangle:
         t = generate_cyclic(5, 60)
         for k in range(1, 7):
             assert opt_belady(t, k) == opt_flow(t, k).cost
+
+    def test_flow_equals_networkx_assignment(self):
+        rng = random.Random(99)
+        for trial in range(40):
+            t = generate_random(rng.choice([2, 4, 8, 16]), rng.randint(1, 40), 9, seed=trial)
+            k = rng.randint(1, 6)
+            assert opt_flow(t, k).cost == networkx_assignment_opt(t, k), (trial, k)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        weights=st.lists(st.sampled_from([1, 5, 7]), min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), max_size=10),
+        k=st.integers(1, 4),
+    )
+    def test_bruteforce_flow_belady_agree(self, weights, picks, k):
+        reqs = tuple(p % len(weights) for p in picks)
+        t = RequestTrace(reqs, tuple(weights), tuple(f"n{i}" for i in range(len(weights))))
+        opt = opt_flow(t, k).cost
+        assert opt == opt_bruteforce(t, k)
+        unit = RequestTrace(reqs, (1,) * len(weights), t.labels)
+        assert opt_belady(unit, k) == opt_flow(unit, k).cost == opt_bruteforce(unit, k)
+
+
+def networkx_assignment_opt(t: RequestTrace, k: int) -> int:
+    """OPT(k) on the direct predecessor-assignment network: request j is
+    served by the server of any earlier request i (cost w(r_i) unless
+    r_i = r_j) or by one of k initial placements, every request exactly
+    once.  O(N^2) arcs, solved by networkx."""
+    g = nx.DiGraph()
+    n = len(t)
+    g.add_edge("s", ("free", 0), capacity=k, weight=0)
+    for i in range(1, n + 1):
+        g.add_edge("s", ("free", i), capacity=1, weight=0)
+        g.add_edge(("serve", i), "t", capacity=1, weight=0)
+    for j in range(1, n + 1):
+        vj = t.requests[j - 1]
+        g.add_edge(("free", 0), ("serve", j), capacity=1, weight=0)
+        for i in range(1, j):
+            vi = t.requests[i - 1]
+            g.add_edge(("free", i), ("serve", j), capacity=1,
+                       weight=0 if vi == vj else t.weights[vi])
+    flow = nx.max_flow_min_cost(g, "s", "t")
+    assert sum(flow[("serve", j)]["t"] for j in range(1, n + 1)) == n
+    return nx.cost_of_flow(g, flow)
 
 
 class TestBelady:
@@ -139,6 +220,23 @@ class TestProfiles:
         t = generate_random(10, 150, 4, seed=11)
         profile = opt_flow_profile(t, 12)
         assert profile == sorted(profile, reverse=True)
+
+    def test_profile_stops_early_and_pads(self):
+        rng = random.Random(8)
+        for trial in range(20):
+            t = generate_random(rng.choice([3, 6, 10]), rng.randint(1, 120), 9, seed=trial)
+            k = rng.randint(1, 30)
+            profile = opt_flow_profile(t, k)
+            assert len(profile) == k
+            stop = next((h for h in range(1, k) if profile[h] == profile[h - 1]), k)
+            assert profile[stop:] == [profile[stop - 1]] * (k - stop)
+            assert profile[-1] == opt_flow(t, k).cost
+        # more servers than distinct nodes: OPT is 0 from there on, and the
+        # long tail is padding, not one augmentation per server
+        t = generate_random(4, 200, 9, seed=1)
+        profile = opt_flow_profile(t, 10_000)
+        assert len(profile) == 10_000
+        assert profile[3:] == [0] * (10_000 - 3)
 
     def test_profile_head_is_single_server(self):
         t = generate_random(6, 80, 5, seed=13)

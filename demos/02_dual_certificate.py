@@ -27,7 +27,7 @@ from cachecomp import (
 
 K = 4
 trace = generate_random(num_nodes=12, length=400, weight_max=9, seed=7)
-cert = run_greedydual_certified(trace, K, relabel="max", step_check=True)
+cert = run_greedydual_certified(trace, K, relabel="max")
 
 print(f"trace: {len(trace)} requests over {trace.num_nodes} nodes, k = {K}")
 print(f"greedydual cost: {cert.result.total_cost}")

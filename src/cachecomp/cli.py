@@ -158,7 +158,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     h = args.h if args.h is not None else k
     if not 1 <= h <= k:
         raise ValueError(f"need 1 <= h <= k, got h={h} k={k}")
-    run = dualcert.run_greedydual_certified(trace, k, args.policy, step_check=True)
+    run = dualcert.run_greedydual_certified(trace, k, args.policy)
     violations = dualcert.check_feasibility_fast(run.dual, trace)
     feasible = not violations
     bound_ok = dualcert.check_primal_dual_bound(run, h)
@@ -202,7 +202,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not specs:
         raise ValueError("no strategies given")
     family = parse_family(args.c_family) if args.c_family else None
-    d = Fraction(args.d)
+    try:
+        d = Fraction(args.d)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in --d {args.d!r}") from None
+    if d <= 0:
+        raise ValueError("--d must be positive")
     if args.gnuplot and not args.out:
         raise ValueError("--gnuplot requires --out")
     table = run_sweep(

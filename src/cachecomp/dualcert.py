@@ -1,4 +1,4 @@
-"""GreedyDual with a live dual certificate.
+"""GreedyDual's dual certificate, read off the label simulation.
 
 The offline optimum is the value of an assignment-style linear program
 over the trace (see ``offline``).  Its dual has one variable a[i] per
@@ -14,22 +14,33 @@ weight of r_i otherwise.  Any feasible (a, b) prices the instance from
 below: its value  -h*a[0] - sum(a[1..N-1]) + sum(b[1..N])  never exceeds
 the offline cost with h servers.
 
-``run_greedydual_certified`` replays GreedyDual in these dual terms: every
-miss uniformly raises {a[i] : i < n, i unserved} and {b[1..n]} just far
-enough to pay for some eviction, keeping (a, b) feasible throughout.  Two
-invariants are enforced after every step (all arithmetic is exact):
+GreedyDual is a primal-dual algorithm and its labels are this dual in
+other coordinates.  Each uniform lowering of the labels on a miss at
+request n is a uniform raise of {a[i] : i < n, i unserved} and
+{b[1..n]}, so the lazy label offset of ``strategies.run_greedydual`` is
+the cumulative raise.  With R the final offset,
 
-  * feasibility of (a, b), and
-  * paid distance <= k/(k-h+1) * value(a, b, h) - sum over served requests
-    i of b[i' + 1], where i' is the request at which i's server last moved,
+    b[j] = R - (offset at the start of request j)
+    a[i] = R - (offset when request i left the served set)
 
-which together certify that the run costs at most k/(k-h+1) times the
-offline optimum with h <= k servers, with no additive slack.
+and per-server labels are L = w(r_i) - b[i'+1] and H = w(r_i) - b[i+1]
+for the request i the server currently satisfies, where i' is the request
+at which that server last moved.
 
-Per-server labels relate to the dual by L = w(r_i) - b[i'+1] and
-H = w(r_i) - b[i+1] for the request i the server currently satisfies; the
-label simulation in ``strategies`` and this one are two views of the same
-algorithm and must produce identical event logs.
+``run_greedydual_certified`` runs that one engine and replays its event
+log once.  The replay makes no decision; it rebuilds the served multiset
+and (a, b) and checks in exact arithmetic, at every request, that
+
+  * each raise is non-negative, and zero on a hit and while unplaced
+    servers remain;
+  * after a raise, b[i+1] <= w(r_i) for every served request i (H >= 0);
+  * the evicted server has L <= 0;
+  * paid distance <= k * (total raise) - sum over served requests i of
+    b[i'+1].
+
+With feasibility of (a, b) (``check_feasibility``) the last invariant
+certifies that the run costs at most k/(k-h+1) times the offline optimum
+with h <= k servers, with no additive slack.
 """
 
 from __future__ import annotations
@@ -40,10 +51,9 @@ from .strategies import (
     FREE,
     HIT,
     MAX_LOWER,
-    MIN_LOWER,
     MOVE,
-    Event,
     SimulationResult,
+    _greedydual,
 )
 from .trace import RequestTrace
 
@@ -133,151 +143,103 @@ def run_greedydual_certified(
     trace: RequestTrace,
     k: int,
     relabel: str = MAX_LOWER,
-    step_check: bool = True,
 ) -> CertifiedRun:
-    """Run GreedyDual maintaining (a, b) explicitly; see module docstring.
+    """Run GreedyDual and certify it; see the module docstring.
 
-    The event log equals ``strategies.run_greedydual`` on the same inputs.
-    With ``step_check`` the feasibility-critical inequalities and the
-    certified cost bound are verified after every request.
+    ``strategies.run_greedydual``'s label loop makes every decision, so
+    the event log is that function's.  One replay of the log rebuilds the
+    served multiset and (a, b) and raises ``CertificateError`` if an
+    invariant fails at any request.
     """
-    if relabel not in (MAX_LOWER, MIN_LOWER):
-        raise ValueError(f"unknown relabel policy {relabel!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    result, offsets = _greedydual(trace, k, relabel)
+    return _replay(trace, k, relabel, result, offsets)
+
+
+def _replay(
+    trace: RequestTrace,
+    k: int,
+    relabel: str,
+    result: SimulationResult,
+    offsets: list[int],
+) -> CertifiedRun:
+    """Certify an event log given the label offset at the start of each
+    request and the final offset.  The offset is the cumulative raise:
+    once request n has relabelled, raised = offsets[n] and the current
+    b[j] for j <= n is raised - offsets[j-1]."""
     n = len(trace)
     reqs = trace.requests
     weights = trace.weights
 
-    raised = 0  # cumulative uniform raise
-    raise_at_start = [0] * (n + 1)  # indexed by 1-based request
     relabels: list[tuple[int, int]] = []
     leave_raise: dict[int, int] = {}
     zero_mult = k
-    placements = 0
-    served: dict[int, ServedEntry] = {}  # node -> entry
+    # node -> entry; re-inserted on every request, so values stay ordered by i
+    served: dict[int, ServedEntry] = {}
     sum_served_b = 0  # sum over S of current b[moved+1] (zero entries: b[1])
     distance = 0
-    events: list[Event] = []
     history: list[StepRecord] = []
 
-    def b_now(j: int) -> int:
-        # current b[j]: the raise accumulated by relabels at requests >= j.
-        # Callers only pass j <= the request being processed.
-        return raised - raise_at_start[j]
-
-    def snapshot() -> None:
-        history.append(
-            StepRecord(
-                zero_mult,
-                tuple(sorted(served.values(), key=lambda e: e.i)),
-                raised,
-                distance,
-                sum_served_b,
-            )
-        )
-
-    for idx in range(1, n + 1):
-        raise_at_start[idx] = raised
+    for idx, ev in enumerate(result.events, start=1):
         v = reqs[idx - 1]
-        w = weights[v]
-        if v in served:
-            old = served[v]
-            served[v] = ServedEntry(idx, old.moved, old.chain)
-            leave_raise[old.i] = raised  # the superseded request exits S here
-            events.append(Event(idx - 1, v, HIT))
-            snapshot()
-            continue
-
-        # Relabel: the uniform raise this policy allows.
-        slack_h = [weights[reqs[e.i - 1]] - b_now(e.i + 1) for e in served.values()]
-        slack_l = [
-            weights[reqs[e.i - 1]] - b_now(e.moved + 1) for e in served.values()
-        ]
-        if zero_mult > 0:
-            slack_h.append(0 - b_now(1))
-            slack_l.append(0 - b_now(1))
-        rho = min(slack_h) if relabel == MAX_LOWER else min(slack_l)
-        if step_check and rho < 0:
+        raised = offsets[idx]
+        rho = raised - offsets[idx - 1]
+        old = served.pop(v, None)
+        expected = HIT if old is not None else FREE if zero_mult else MOVE
+        if ev.node != v or ev.kind != expected:
+            raise CertificateError(f"event {ev} does not fit request {idx}")
+        if rho < 0:
             raise CertificateError(f"negative raise {rho} at request {idx}")
-        if step_check and zero_mult > 0 and rho != 0:
-            raise CertificateError("raise must be degenerate while placements remain")
+        if rho and (zero_mult > 0 or old is not None):
+            raise CertificateError(
+                f"non-zero raise at request {idx}, a hit or a free placement"
+            )
         if rho:
             relabels.append((idx, rho))
-        raised += rho
-        sum_served_b += k * rho
-
-        if step_check:
+            sum_served_b += k * rho
             for e in served.values():
-                if b_now(e.i + 1) > weights[reqs[e.i - 1]]:
+                if raised - offsets[e.i] > weights[reqs[e.i - 1]]:
                     raise CertificateError(
                         f"b[{e.i + 1}] exceeds served weight after raise at {idx}"
                     )
 
-        # Move: satisfy the request with a server whose raise pays for it.
-        if zero_mult > 0:
+        if old is not None:
+            moved, chain = old.moved, old.chain
+            leave_raise[old.i] = raised  # the superseded request exits S here
+        elif zero_mult > 0:
+            moved, chain = idx, k - zero_mult  # server ids count placements
             zero_mult -= 1
-            sum_served_b -= b_now(1)
+            sum_served_b -= raised - offsets[0]
             if zero_mult == 0:
                 leave_raise[0] = raised
-            served[v] = ServedEntry(idx, idx, placements)
-            placements += 1
-            events.append(Event(idx - 1, v, FREE))
         else:
-            entries = sorted(served.values(), key=lambda e: e.i)
-            eligible = [
-                e
-                for e in entries
-                if weights[reqs[e.i - 1]] - b_now(e.moved + 1) <= 0
-            ]
-            if not eligible:
-                raise CertificateError(f"no eligible eviction at request {idx}")
-            if relabel == MAX_LOWER:
-                victim = min(
-                    eligible,
-                    key=lambda e: (weights[reqs[e.i - 1]] - b_now(e.i + 1), e.i),
-                )
-            else:
-                victim = min(
-                    eligible,
-                    key=lambda e: (
-                        weights[reqs[e.i - 1]] - b_now(e.moved + 1),
-                        e.moved,
-                    ),
-                )
-            old_node = reqs[victim.i - 1]
-            cost = weights[old_node]
-            del served[old_node]
+            victim = served.pop(ev.evicted, None)
+            if victim is None:
+                raise CertificateError(f"request {idx} evicts an unserved node")
+            victim_b = raised - offsets[victim.moved]
+            if weights[ev.evicted] > victim_b:
+                raise CertificateError(f"evicted server has L > 0 at request {idx}")
             leave_raise[victim.i] = raised
-            sum_served_b -= b_now(victim.moved + 1)
-            distance += cost
-            served[v] = ServedEntry(idx, idx, victim.chain)
-            events.append(Event(idx - 1, v, MOVE, evicted=old_node, cost=cost))
+            sum_served_b -= victim_b
+            distance += ev.cost
+            moved, chain = idx, victim.chain
+        served[v] = ServedEntry(idx, moved, chain)
 
-        if step_check and distance > k * raised - sum_served_b:
+        if distance > k * raised - sum_served_b:
             raise CertificateError(
                 f"certified bound violated after request {idx}: "
                 f"{distance} > {k}*{raised} - {sum_served_b}"
             )
-        snapshot()
+        history.append(
+            StepRecord(
+                zero_mult, tuple(served.values()), raised, distance, sum_served_b
+            )
+        )
 
+    total = offsets[n]
     a = [0] * (n + 1)
     for i, left in leave_raise.items():
-        a[i] = raised - left
-    b = [0] * (n + 1)
-    for j in range(1, n + 1):
-        b[j] = raised - raise_at_start[j]
-
-    final_nodes: list[int | None] = [None] * k
-    for node, e in served.items():
-        final_nodes[e.chain] = node
-    result = SimulationResult(
-        f"greedydual:{relabel}",
-        k,
-        tuple(events),
-        distance,
-        tuple(final_nodes),
-    )
+        a[i] = total - left
+    b = [0] + [total - x for x in offsets[:n]]
     return CertifiedRun(
         result=result,
         dual=DualSolution(tuple(a), tuple(b)),
@@ -286,7 +248,7 @@ def run_greedydual_certified(
         trace=trace,
         history=tuple(history),
         relabels=tuple(relabels),
-        raise_at_start=tuple(raise_at_start),
+        raise_at_start=(0, *offsets[:n]),
         leave_raise=leave_raise,
     )
 

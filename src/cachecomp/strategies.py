@@ -266,6 +266,18 @@ def run_greedydual(
     Labels are kept lazily against a global offset, so a relabel is O(1);
     observable behavior equals eager subtraction.
     """
+    return _greedydual(trace, k, relabel)[0]
+
+
+def _greedydual(
+    trace: RequestTrace, k: int, relabel: str
+) -> tuple[SimulationResult, list[int]]:
+    """The label loop of ``run_greedydual``, also returning the offset at
+    the start of each request followed by the final offset (N+1 ints).
+
+    The offset is the cumulative uniform raise of the dual in
+    ``dualcert``, which reads (a, b) off these values.
+    """
     if relabel not in (MAX_LOWER, MIN_LOWER):
         raise ValueError(f"unknown relabel policy {relabel!r}")
     if k < 1:
@@ -276,7 +288,9 @@ def run_greedydual(
     hi = [0] * k  # stored H; actual H = hi[s] - offset
     last_touch = [0] * k
     last_move = [0] * k
+    offsets: list[int] = []
     for i, v in enumerate(trace.requests):
+        offsets.append(offset)
         w = trace.weights[v]
         if v in st.where:
             s = st.hit(i, v)
@@ -300,7 +314,8 @@ def run_greedydual(
         st.move(i, v, s)
         lo[s] = hi[s] = w + offset
         last_touch[s] = last_move[s] = i
-    return st.result(f"greedydual:{relabel}")
+    offsets.append(offset)
+    return st.result(f"greedydual:{relabel}"), offsets
 
 
 def run(

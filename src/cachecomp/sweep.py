@@ -44,7 +44,8 @@ OPT_METHODS = ("auto", "flow", "belady")
 class RatioFamily:
     """Target competitive-ratio curve c(k).
 
-    kinds (arguments are exact rationals; shifts keep c positive at k = 1):
+    kinds (arguments are exact rationals; c must be positive at k = 1, and
+    then it is positive for every k):
       log     c(k) = alpha * ln(k + 1)
       loglog  c(k) = 2 * ln(ln(k + 2)) + beta
       const   c(k) = gamma
@@ -60,6 +61,8 @@ class RatioFamily:
     def __post_init__(self) -> None:
         if self.kind not in ("log", "loglog", "const"):
             raise ValueError(f"unknown ratio family {self.kind!r}")
+        if self.value(1) <= 0:
+            raise ValueError(f"ratio family {self} is not positive at k = 1")
 
     def value(self, k: int) -> float | Fraction:
         if k < 1:
@@ -88,7 +91,11 @@ def parse_family(text: str) -> RatioFamily:
     kind, sep, arg = text.strip().partition(":")
     if not sep:
         raise ValueError(f"ratio family needs an argument: {text!r}")
-    return RatioFamily(kind.strip().lower(), Fraction(arg.strip()))
+    try:
+        param = Fraction(arg.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in ratio family {text!r}") from None
+    return RatioFamily(kind.strip().lower(), param)
 
 
 @dataclass(frozen=True)

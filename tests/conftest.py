@@ -56,10 +56,7 @@ def corpus() -> list[CorpusMember]:
 
 @pytest.fixture(scope="session")
 def certified_runs(corpus) -> list[CertifiedRun]:
-    return [
-        run_greedydual_certified(m.trace, m.k, m.relabel, step_check=True)
-        for m in corpus
-    ]
+    return [run_greedydual_certified(m.trace, m.k, m.relabel) for m in corpus]
 
 
 @pytest.fixture(scope="session")

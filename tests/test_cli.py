@@ -161,6 +161,25 @@ class TestSweep:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--d", "1/0"],
+            ["--c-family", "log:1/0"],
+            ["--c-family", "const:0"],
+            ["--d", "0"],
+            ["--d", "-1"],
+            ["--c-family", "log:4", "--d", "0"],
+        ],
+    )
+    def test_bad_numbers_are_domain_errors(self, capsys, trace_file, flags):
+        code, out, err = run_cli(
+            capsys, "sweep", "--trace", trace_file, "--n", "2",
+            "--strategies", "lru", *flags,
+        )
+        assert code == cli.DOMAIN_ERROR
+        assert err.startswith("error:") and out == ""
+
 
 class TestOSErrors:
     def test_unreadable_trace_is_domain_error(self, capsys, trace_file, monkeypatch):

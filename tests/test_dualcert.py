@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from cachecomp.dualcert import (
     CertificateError,
     DualSolution,
+    _replay,
     check_feasibility,
     check_feasibility_fast,
     check_primal_dual_bound,
@@ -15,7 +18,14 @@ from cachecomp.dualcert import (
     served_b_sum,
 )
 from cachecomp.offline import opt_flow
-from cachecomp.strategies import FREE, MAX_LOWER, MIN_LOWER, run_greedydual
+from cachecomp.strategies import (
+    FREE,
+    HIT,
+    MAX_LOWER,
+    MIN_LOWER,
+    _greedydual,
+    run_greedydual,
+)
 from cachecomp.trace import generate_random, parse_trace
 
 ABCA = parse_trace("a\nb\nc\na\n")
@@ -202,6 +212,51 @@ class TestCertifiedRun:
             run_greedydual_certified(ABCA, 2, "sideways")
 
 
+def _negative_last_raise(events, offsets):
+    return events, offsets[:-1] + [offsets[-2] - 1]
+
+
+def _raise_from(j):
+    def corrupt(events, offsets):
+        return events, offsets[:j] + [x + 1 for x in offsets[j:]]
+
+    return corrupt
+
+
+def _evict_heavy(events, offsets):
+    # "a 5, b, c" with k=2 evicts b (L = 0); a still has L = 4
+    move = dataclasses.replace(events[2], evicted=0, cost=5)
+    return events[:2] + [move], offsets
+
+
+def _free_as_hit(events, offsets):
+    return [dataclasses.replace(events[0], kind=HIT)] + events[1:], offsets
+
+
+class TestReplayChecks:
+    """The replay rejects offsets or event logs that break an invariant."""
+
+    @pytest.mark.parametrize(
+        "text, k, corrupt, message",
+        [
+            ("a\nb\nc\na\n", 2, _negative_last_raise, "negative raise"),
+            ("a\nb\nc\na\n", 3, _raise_from(2), "non-zero raise"),
+            ("a\nb\nc\na\n", 3, _raise_from(4), "non-zero raise"),
+            ("a 5\nb\nc\n", 2, _evict_heavy, "L > 0"),
+            ("a 5\nb\nc\n", 2, _raise_from(3), "exceeds served weight"),
+            ("a\nb\n", 2, _free_as_hit, "does not fit"),
+        ],
+    )
+    def test_corrupted_input_rejected(self, text, k, corrupt, message):
+        t = parse_trace(text)
+        result, offsets = _greedydual(t, k, MAX_LOWER)
+        _replay(t, k, MAX_LOWER, result, offsets)  # the uncorrupted run passes
+        events, bad = corrupt(list(result.events), offsets)
+        bad_result = dataclasses.replace(result, events=tuple(events))
+        with pytest.raises(CertificateError, match=message):
+            _replay(t, k, MAX_LOWER, bad_result, bad)
+
+
 class ThirdPartyChecker:
     """Standalone re-verification from the exported text only."""
 
@@ -267,3 +322,31 @@ class TestExport:
         text = export_certificate(run)
         assert text.startswith("cachecomp-certificate 1\n")
         assert sum(1 for line in text.splitlines() if line.startswith("step ")) == 4
+
+    # sha256 of export_certificate, recorded with the standalone certified
+    # simulation that preceded the replay of run_greedydual's event log
+    @pytest.mark.parametrize(
+        "nodes, length, wmax, seed, k, policy, digest",
+        [
+            (12, 400, 9, 7, 4, MAX_LOWER,
+             "02c9eb6a748bce68b6301c9849c5b5d4f2b1d1210b68befd9ba5a842b91fb9b8"),
+            (12, 400, 9, 7, 4, MIN_LOWER,
+             "d5df076c3683c52b0f21fa87a63d06cc4e00cae0357f3bb95ff05d12cef2635e"),
+            (5, 150, 10, 101, 3, MAX_LOWER,
+             "62e12489d440ed3a8c60a85c2d7b136fc576c998d587ad1778223e152ce3bdfd"),
+            (5, 150, 10, 101, 3, MIN_LOWER,
+             "518c2035794311859f88f2cece68f3dc883b3e0209c0dc852bbb886aad6ba433"),
+            (40, 300, 50, 202, 8, MAX_LOWER,
+             "38e568114c492a9fcfde7e9e5c8e7e8d8f05750a8341d07026f7316e084185e6"),
+            (40, 300, 50, 202, 8, MIN_LOWER,
+             "949e255d6a0833a5db5a7c0e1d36fdf4f52d84c1a162aa1501d0881172aa2951"),
+            (3, 80, 4, 303, 2, MAX_LOWER,
+             "c063e7dd6086aa1910c8a1e5eb2e318991901cc63256775e4fdb4e7cfc79baba"),
+            (3, 80, 4, 303, 2, MIN_LOWER,
+             "d092d5e75fddd6781524c5ea8f37180a29e79cdaed3ae90b7b9c85386b536577"),
+        ],
+    )
+    def test_golden_certificate_bytes(self, nodes, length, wmax, seed, k, policy, digest):
+        t = generate_random(nodes, length, wmax, seed=seed)
+        text = export_certificate(run_greedydual_certified(t, k, policy))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

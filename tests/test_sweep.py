@@ -45,6 +45,9 @@ class TestRatioFamily:
             parse_family("log")
         with pytest.raises(ValueError):
             parse_family("nope:1")
+        for text in ("const:0", "log:-1", "loglog:-5", "log:1/0"):
+            with pytest.raises(ValueError):
+                parse_family(text)
 
 
 class TestSweep:

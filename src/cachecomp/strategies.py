@@ -4,12 +4,23 @@ All strategies share the free-initial-placement convention: a request to an
 unserved node is satisfied by an unplaced server at no cost while one
 remains; only after all k servers are placed does a miss force a paid move.
 Costs are exact integers (the weight of the vacated node).
+
+Each engine only decides: it walks the trace with O(1) or O(log k) work
+per request and records the paid decisions.  Sweeps read only the cost,
+so they never build a per-request log; ``SimulationResult.events`` is
+expanded from the decisions on first access.  A placed server is never
+unplaced except by a flush, which unplaces them all, so the lowest
+unplaced server id is always the number of servers placed.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .trace import RequestTrace
 
@@ -43,7 +54,7 @@ STRATEGY_NAMES = ("lru", "fifo", "fwf", "balance", "mark", "greedydual")
 DEFAULT_SEED = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One log entry.  ``index`` is the 0-based position in the trace.
 
@@ -61,11 +72,54 @@ class Event:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """A run: its cost and paid decisions, ``(request index, evicted node)``
+    per move and ``(index, None)`` per flush.  The event log and the final
+    placement are expanded from these on first access."""
+
     strategy: str
     k: int
-    events: tuple[Event, ...]
     total_cost: int
-    final_nodes: tuple[int | None, ...]  # per server id; None = never placed
+    paid: tuple[tuple[int, int | None], ...]
+    trace: RequestTrace = field(repr=False)
+
+    @cached_property
+    def _expanded(self) -> tuple[tuple[Event, ...], tuple[int | None, ...]]:
+        weights, k = self.trace.weights, self.k
+        where: dict[int, int] = {}  # node -> server id
+        node_of: list[int | None] = [None] * k
+        events: list[Event] = []
+        decisions = iter(self.paid)
+        due, evicted = next(decisions, (-1, None))
+        for i, v in enumerate(self.trace.requests):
+            if v in where:
+                events.append(Event(i, v, HIT))
+                continue
+            if i == due:
+                u = evicted
+                due, evicted = next(decisions, (-1, None))
+                if u is not None:
+                    s = where[v] = where.pop(u)
+                    node_of[s] = v
+                    events.append(Event(i, v, MOVE, evicted=u, cost=weights[u]))
+                    continue
+                where.clear()
+                node_of = [None] * k
+                events.append(Event(i, v, FLUSH, cost=k))
+            s = len(where)
+            node_of[s] = v
+            where[v] = s
+            events.append(Event(i, v, FREE))
+        return tuple(events), tuple(node_of)
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """One event per request, plus a free event after each flush."""
+        return self._expanded[0]
+
+    @property
+    def final_nodes(self) -> tuple[int | None, ...]:
+        """Node per server id; None = never placed (or flushed, not refilled)."""
+        return self._expanded[1]
 
     def moves(self) -> tuple[Event, ...]:
         """Paid events only (moves and flushes)."""
@@ -73,7 +127,7 @@ class SimulationResult:
 
     def eviction_decisions(self) -> tuple[tuple[int, int | None], ...]:
         """(request index, evicted node) for every paid event."""
-        return tuple((e.index, e.evicted) for e in self.moves())
+        return self.paid
 
 
 @dataclass(frozen=True)
@@ -102,148 +156,87 @@ def parse_strategy(spec: str) -> StrategySpec:
     raise ValueError(f"unknown strategy {spec!r}")
 
 
-@dataclass
-class _State:
-    """Shared simulation bookkeeping for the placed-server pool."""
-
-    k: int
-    trace: RequestTrace
-    where: dict[int, int] = field(default_factory=dict)  # node -> server id
-    node_of: list[int | None] = field(default_factory=list)  # server id -> node
-    events: list[Event] = field(default_factory=list)
-    total_cost: int = 0
-
-    def __post_init__(self) -> None:
-        self.node_of = [None] * self.k
-
-    @property
-    def placed(self) -> int:
-        return len(self.where)
-
-    def unplaced_server(self) -> int | None:
-        for s in range(self.k):
-            if self.node_of[s] is None:
-                return s
-        return None
-
-    def hit(self, i: int, v: int) -> int:
-        s = self.where[v]
-        self.events.append(Event(i, v, HIT))
-        return s
-
-    def place(self, i: int, v: int, s: int) -> None:
-        self.node_of[s] = v
-        self.where[v] = s
-        self.events.append(Event(i, v, FREE))
-
-    def move(self, i: int, v: int, s: int) -> int:
-        old = self.node_of[s]
-        assert old is not None
-        cost = self.trace.weights[old]
-        del self.where[old]
-        self.node_of[s] = v
-        self.where[v] = s
-        self.events.append(Event(i, v, MOVE, evicted=old, cost=cost))
-        self.total_cost += cost
-        return cost
-
-    def result(self, name: str) -> SimulationResult:
-        return SimulationResult(
-            name, self.k, tuple(self.events), self.total_cost, tuple(self.node_of)
-        )
-
-
-def _run_recency(trace: RequestTrace, k: int, by_move: bool) -> _State:
-    """LRU (by_move=False) and FIFO (by_move=True).
-
-    LRU evicts the served node whose last request is oldest; FIFO evicts the
-    server whose last placement/move is oldest (requests to served nodes do
-    not refresh it).
-    """
-    st = _State(k, trace)
-    last_touch = [0] * k
-    last_move = [0] * k
+def _run_recency(trace: RequestTrace, k: int, refresh: bool) -> list:
+    """LRU (refresh=True) and FIFO (refresh=False): served nodes are kept
+    oldest first, by last request for LRU (a hit moves its node to the end)
+    and by placement for FIFO."""
+    served: OrderedDict[int, None] = OrderedDict()
+    paid = []
     for i, v in enumerate(trace.requests):
-        if v in st.where:
-            s = st.hit(i, v)
-            last_touch[s] = i
+        if v in served:
+            if refresh:
+                served.move_to_end(v)
             continue
-        s = st.unplaced_server()
-        if s is not None:
-            st.place(i, v, s)
-        else:
-            stamp = last_move if by_move else last_touch
-            s = min(range(k), key=lambda s2: (stamp[s2], s2))
-            st.move(i, v, s)
-        last_touch[s] = i
-        last_move[s] = i
-    return st
+        if len(served) == k:
+            paid.append((i, served.popitem(last=False)[0]))
+        served[v] = None
+    return paid
 
 
-def _run_fwf(trace: RequestTrace, k: int) -> _State:
+def _run_fwf(trace: RequestTrace, k: int) -> list:
     """Flush-when-full: on a miss with every server placed, remove all
     servers at a flat cost of k, then keep placing for free."""
-    st = _State(k, trace)
+    served: set[int] = set()
+    paid = []
     for i, v in enumerate(trace.requests):
-        if v in st.where:
-            st.hit(i, v)
-            continue
-        if st.placed == k:
-            st.where.clear()
-            st.node_of = [None] * k
-            st.events.append(Event(i, v, FLUSH, cost=k))
-            st.total_cost += k
-        s = st.unplaced_server()
-        assert s is not None
-        st.place(i, v, s)
-    return st
+        if v not in served:
+            if len(served) == k:
+                served.clear()
+                paid.append((i, None))
+            served.add(v)
+    return paid
 
 
-def _run_balance(trace: RequestTrace, k: int) -> _State:
+def _run_balance(trace: RequestTrace, k: int) -> list:
     """Move the server minimizing (weight of its node + distance traveled
-    so far); ties go to the smallest server id."""
-    st = _State(k, trace)
-    traveled = [0] * k
+    so far); ties go to the smallest server id.  A move adds the new node's
+    weight to the moved server's key and changes no other key, so a heap
+    of (key, server id, node) stays exact."""
+    weights = trace.weights
+    served: set[int] = set()
+    heap: list[tuple[int, int, int]] = []  # (key, server id, node)
+    paid = []
     for i, v in enumerate(trace.requests):
-        if v in st.where:
-            st.hit(i, v)
+        if v in served:
             continue
-        s = st.unplaced_server()
-        if s is not None:
-            st.place(i, v, s)
-            continue
-        s = min(
-            range(k),
-            key=lambda s2: (trace.weights[st.node_of[s2]] + traveled[s2], s2),
-        )
-        cost = st.move(i, v, s)
-        traveled[s] += cost
-    return st
+        if len(heap) < k:
+            heapq.heappush(heap, (weights[v], len(heap), v))
+        else:
+            key, s, u = heap[0]
+            heapq.heapreplace(heap, (key + weights[v], s, v))
+            served.remove(u)
+            paid.append((i, u))
+        served.add(v)
+    return paid
 
 
-def _run_mark(trace: RequestTrace, k: int, seed: int) -> _State:
+def _run_mark(trace: RequestTrace, k: int, seed: int) -> list:
     """Randomized marking: evict uniformly among servers on nodes not yet
     requested in the current k-phase.  Phases restart when a request would
-    bring the phase's distinct-node count past k."""
-    st = _State(k, trace)
+    bring the phase's distinct-node count past k.  The candidates are kept
+    sorted, rebuilt at each phase start, so ``randrange`` draws over the
+    same list as a sort at every miss would."""
     rng = random.Random(seed)
-    phase_nodes: set[int] = set()
+    served: set[int] = set()
+    marked: set[int] = set()  # requested in this phase, hence served
+    unmarked: list[int] = []  # sorted(served - marked)
+    paid = []
     for i, v in enumerate(trace.requests):
-        if v not in phase_nodes and len(phase_nodes) == k:
-            phase_nodes = set()
-        if v in st.where:
-            st.hit(i, v)
-        else:
-            s = st.unplaced_server()
-            if s is not None:
-                st.place(i, v, s)
-            else:
-                candidates = sorted(u for u in st.where if u not in phase_nodes)
-                assert candidates, "marking invariant: an unmarked served node exists"
-                u = candidates[rng.randrange(len(candidates))]
-                st.move(i, v, st.where[u])
-        phase_nodes.add(v)
-    return st
+        if v in marked:
+            continue
+        if len(marked) == k:
+            marked = set()
+            unmarked = sorted(served)
+        if v in served:
+            del unmarked[bisect_left(unmarked, v)]
+        elif len(served) == k:
+            assert unmarked, "marking invariant: an unmarked served node exists"
+            u = unmarked.pop(rng.randrange(len(unmarked)))
+            served.remove(u)
+            paid.append((i, u))
+        served.add(v)
+        marked.add(v)
+    return paid
 
 
 def run_greedydual(
@@ -272,50 +265,51 @@ def run_greedydual(
 def _greedydual(
     trace: RequestTrace, k: int, relabel: str
 ) -> tuple[SimulationResult, list[int]]:
-    """The label loop of ``run_greedydual``, also returning the offset at
-    the start of each request followed by the final offset (N+1 ints).
+    """The label loop of ``run_greedydual``, also returning the offset (the
+    dual's cumulative raise, see ``dualcert``) at the start of each request
+    followed by the final offset.
 
-    The offset is the cumulative uniform raise of the dual in
-    ``dualcert``, which reads (a, b) off these values.
+    A relabel lands the offset on the least stored H (or L), so the victim
+    is the heap minimum of (H, last touch, id) under "max" or (L, last
+    move, id) under "min".  Only moves change L; under "max" a hit pushes a
+    new H, and entries older than their server's last touch are skipped.
     """
     if relabel not in (MAX_LOWER, MIN_LOWER):
         raise ValueError(f"unknown relabel policy {relabel!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    st = _State(k, trace)
+    by_touch = relabel == MAX_LOWER
+    weights = trace.weights
     offset = 0
-    lo = [0] * k  # stored L; actual L = lo[s] - offset
-    hi = [0] * k  # stored H; actual H = hi[s] - offset
-    last_touch = [0] * k
-    last_move = [0] * k
+    where: dict[int, int] = {}  # node -> server id
+    stamp: list[int] = []  # last touch under "max", last move under "min"
+    heap: list[tuple[int, int, int, int]] = []  # (stored label, stamp, id, node)
     offsets: list[int] = []
+    paid = []
     for i, v in enumerate(trace.requests):
         offsets.append(offset)
-        w = trace.weights[v]
-        if v in st.where:
-            s = st.hit(i, v)
-            hi[s] = w + offset
-            last_touch[s] = i
-            continue
-        s = st.unplaced_server()
-        if s is not None:
-            st.place(i, v, s)
-            lo[s] = hi[s] = w + offset
-            last_touch[s] = last_move[s] = i
-            continue
-        # lowering every label by delta = min(H) (or min(L)) lands the
-        # offset exactly on the smallest stored label
-        offset = min(hi) if relabel == MAX_LOWER else min(lo)
-        eligible = [s2 for s2 in range(k) if lo[s2] - offset <= 0]
-        if relabel == MAX_LOWER:
-            s = min(eligible, key=lambda s2: (hi[s2], last_touch[s2], s2))
+        s = where.get(v)
+        if s is None and len(where) < k:
+            s = len(where)
+            stamp.append(i)
+        elif s is None:
+            while heap[0][1] != stamp[heap[0][2]]:
+                heapq.heappop(heap)
+            offset, _, s, u = heapq.heappop(heap)
+            paid.append((i, u))
+            del where[u]
+            stamp[s] = i
+        elif by_touch:
+            stamp[s] = i
+            if len(heap) >= 2 * k:
+                heap = [e for e in heap if e[1] == stamp[e[2]]]
+                heapq.heapify(heap)
         else:
-            s = min(eligible, key=lambda s2: (lo[s2], last_move[s2], s2))
-        st.move(i, v, s)
-        lo[s] = hi[s] = w + offset
-        last_touch[s] = last_move[s] = i
+            continue
+        heapq.heappush(heap, (weights[v] + offset, i, s, v))
+        where[v] = s
     offsets.append(offset)
-    return st.result(f"greedydual:{relabel}"), offsets
+    return _result(f"greedydual:{relabel}", k, trace, paid), offsets
 
 
 def run(
@@ -334,16 +328,21 @@ def run(
     if k < 1:
         raise ValueError("k must be >= 1")
     name = strategy.name
-    if name == "lru":
-        return _run_recency(trace, k, by_move=False).result("lru")
-    if name == "fifo":
-        return _run_recency(trace, k, by_move=True).result("fifo")
-    if name == "fwf":
-        return _run_fwf(trace, k).result("fwf")
-    if name == "balance":
-        return _run_balance(trace, k).result("balance")
-    if name == "mark":
-        return _run_mark(trace, k, seed).result("mark")
     if name == "greedydual":
         return run_greedydual(trace, k, strategy.relabel)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if name in ("lru", "fifo"):
+        paid = _run_recency(trace, k, refresh=name == "lru")
+    elif name == "fwf":
+        paid = _run_fwf(trace, k)
+    elif name == "balance":
+        paid = _run_balance(trace, k)
+    elif name == "mark":
+        paid = _run_mark(trace, k, seed)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return _result(name, k, trace, paid)
+
+
+def _result(name: str, k: int, trace: RequestTrace, paid: list) -> SimulationResult:
+    cost = sum(k if u is None else trace.weights[u] for _, u in paid)
+    return SimulationResult(name, k, cost, tuple(paid), trace)

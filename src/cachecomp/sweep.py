@@ -13,6 +13,7 @@ criterion targets significant cost.  Ties count as violations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,6 +62,8 @@ class RatioFamily:
     def __post_init__(self) -> None:
         if self.kind not in ("log", "loglog", "const"):
             raise ValueError(f"unknown ratio family {self.kind!r}")
+        if abs(self.param) > sys.float_info.max:  # thresholds are floats
+            raise ValueError(f"{self.kind} ratio family argument is beyond float range")
         if self.value(1) <= 0:
             raise ValueError(f"ratio family {self} is not positive at k = 1")
 
@@ -163,6 +166,10 @@ def sweep(
         raise ValueError("n must be >= 1")
     if mark_trials < 1:
         raise ValueError("mark_trials must be >= 1")
+    # Every cost is at most len(trace) * max weight; ratios, thresholds and
+    # the spread of marking costs are floats, and the spread squares it.
+    if (len(trace) * max(trace.weights, default=1)) ** 2 > sys.float_info.max:
+        raise ValueError("weights too large for a sweep's floating-point columns")
     specs = [parse_strategy(s) if isinstance(s, str) else s for s in strategies]
     method = _resolve_opt_method(trace, opt_method)
     if method == "flow" and len(trace) > size_cap:
@@ -228,6 +235,13 @@ def count_violators(
         raise ValueError(f"strategy {strategy!r} not in table")
     n = table.n
     exact = family.kind == "const" and d.denominator == 1
+    if not exact:
+        try:
+            floor = table.opt1 / float(n) ** float(d)
+        except OverflowError:  # float(d) or n^d too large for a float
+            # for n >= 2 the floor is then below 1e-150, as sweep keeps opt1
+            # below 1e155, so below any positive cost
+            floor = 0.0 if n > 1 else table.opt1
     ks = []
     for row in table.rows:
         cost = row.costs[name]
@@ -235,15 +249,14 @@ def count_violators(
             continue
         c_k = family.value(row.k)
         if exact:
-            threshold = max(
-                Fraction(c_k) * row.opt_cost, Fraction(table.opt1, n**d.numerator)
+            # n^b > opt1 * denominator(cost) for b = its bit length and n >= 2,
+            # so capping the exponent at b leaves the comparison unchanged
+            b = (table.opt1 * cost.denominator).bit_length()
+            hit = cost >= Fraction(c_k) * row.opt_cost and (
+                cost * n ** min(d.numerator, b) >= table.opt1
             )
-            hit = cost >= threshold
         else:
-            threshold = max(
-                float(c_k) * row.opt_cost, table.opt1 / float(n) ** float(d)
-            )
-            hit = float(cost) >= threshold
+            hit = float(cost) >= max(float(c_k) * row.opt_cost, floor)
         if hit:
             ks.append(row.k)
     return ViolatorReport(len(ks), tuple(ks))

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachecomp import cli
 from cachecomp.strategies import run
@@ -161,6 +166,60 @@ class TestSweep:
         )
         assert code == 0
 
+    def test_huge_d_matches_moderate_d(self, capsys, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("d\nc\nd\nb\nd\na\nc\na\n", encoding="utf-8")
+        argv = ["sweep", "--trace", str(path), "--n", "3",
+                "--strategies", "lru,fifo,mark", "--c-family", "const:2"]
+        code, huge, err = run_cli(capsys, *argv, "--d", "1000000000")
+        assert code == 0 and err == ""
+        # opt1 = 7 and mark's mean cost is a multiple of 1/100, so at d = 8
+        # the opt1 / 3^d floor is already below every positive cost
+        code, moderate, _ = run_cli(capsys, *argv, "--d", "8")
+        assert code == 0 and huge == moderate
+        assert "opt1 7\n" in huge and "violators lru 1 [3]" in huge
+        # at d = 1 the floor keeps that row out
+        _, small_d, _ = run_cli(capsys, *argv, "--d", "1")
+        assert "violators lru 0" in small_d
+
+    def test_weight_beyond_float_range_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(f"a 1{'0' * 400}\nb\na\nc\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "sweep", "--trace", str(path), "--n", "2", "--strategies", "lru,mark",
+            "--c-family", "log:1",
+        )
+        assert code == cli.DOMAIN_ERROR and err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("flags", [["log:1e400"], ["const:1e400", "--d", "1/2"]])
+    def test_family_beyond_float_range_is_domain_error(self, capsys, trace_file, flags):
+        code, out, err = run_cli(
+            capsys, "sweep", "--trace", trace_file, "--n", "2", "--strategies", "lru",
+            "--c-family", *flags,
+        )
+        assert code == cli.DOMAIN_ERROR and err.startswith("error:") and out == ""
+
+    def test_d_beyond_float_range_with_one_server(self, capsys, tmp_path):
+        # fwf charges 1 per flush, so its k = 1 cost (4) is below opt1 (20):
+        # only the opt1 / n^d floor, which is opt1 for n = 1, keeps it out
+        path = tmp_path / "w.txt"
+        path.write_text("a 5\nb 5\na\nb\na\n", encoding="utf-8")
+        argv = ["sweep", "--trace", str(path), "--n", "1", "--strategies", "fwf",
+                "--c-family", "log:1/100"]
+        code, huge, err = run_cli(capsys, *argv, "--d", "1e400")
+        assert code == 0 and err == ""
+        assert run_cli(capsys, *argv, "--d", "1")[1] == huge
+        assert "violators fwf 0\n" in huge
+
+    def test_huge_d_with_log_family(self, capsys, trace_file):
+        # n^d overflows a float here; the floor is then below any cost
+        code, out, err = run_cli(
+            capsys, "sweep", "--trace", trace_file, "--n", "2",
+            "--strategies", "lru", "--c-family", "log:1", "--d", "1000000000",
+        )
+        assert code == 0 and err == ""
+        assert "violators lru 2 [1 2]" in out
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -207,6 +266,49 @@ class TestOSErrors:
             os.close(write_end)
         assert proc.returncode == cli.BROKEN_PIPE
         assert proc.stderr == b""
+
+
+LINES = st.builds(
+    "{}{}".format,
+    st.sampled_from(["a", "b", "c", "é", "#", "a#b", "", " ", "\t", "\x00"]),
+    st.sampled_from(["", " 1", " 3", " 0", " -2", " x", " 1 2", " 99999999999999999999",
+                     " 1" + "0" * 400, " #7"]),
+)
+TRACE_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.text(max_size=60).map(lambda s: s.encode("utf-8")),
+    st.lists(LINES, max_size=12).flatmap(
+        lambda lines: st.sampled_from(["\n", "\r\n", "\r"]).map(
+            lambda sep: sep.join(lines).encode("utf-8")
+        )
+    ),
+)
+FUZZ_ARGV = {
+    "simulate": ["--k", "2", "--strategy", "greedydual:min", "-v"],
+    "sweep": ["--n", "3", "--strategies", "lru,fwf,mark,balance", "--trials", "2",
+              "--c-family", "log:2"],
+    "certify": ["--k", "2"],
+    "phases": ["--k", "2", "-v"],
+}
+
+
+class TestFuzzedTraces:
+    """Arbitrary trace bytes end in a documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=TRACE_BYTES)
+    def test_exit_code_without_traceback(self, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.txt"
+            path.write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--trace", str(path), *FUZZ_ARGV[command]])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().startswith("error:")
 
 
 class TestUsageErrors:

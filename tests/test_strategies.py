@@ -1,7 +1,11 @@
+import contextlib
+import hashlib
+import io
 import random
 
 import pytest
 
+from cachecomp import cli
 from cachecomp.offline import opt_bruteforce, opt_single_server
 from cachecomp.strategies import (
     FLUSH,
@@ -14,7 +18,7 @@ from cachecomp.strategies import (
     run,
     run_greedydual,
 )
-from cachecomp.trace import generate_cyclic, generate_random, parse_trace
+from cachecomp.trace import generate_cyclic, generate_random, parse_trace, serialize_trace
 
 ABCA = parse_trace("a\nb\nc\na\n")
 
@@ -254,3 +258,67 @@ class TestCompetitiveSpotCheck:
             for h in range(1, k + 1):
                 opt_h = opt_bruteforce(t, h)
                 assert (k - h + 1) * cost <= k * opt_h
+
+
+ALL_SPECS = ["lru", "fifo", "fwf", "balance", "mark", "greedydual:max", "greedydual:min"]
+
+
+class TestGoldenPins:
+    """sha256 pins recorded with the engines that built every event inline
+    and chose victims by scanning all k servers."""
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            ("lru", "28ee8f17dbb8e98e94bf5d33c93146492461dff52065b7b51fa8ea66efc5e71c"),
+            ("fifo", "bf029003d1ff4bf9e76eb3398075a9f0ff26acf810316a9304fb2aea153e7e07"),
+            ("fwf", "9a886eb0f7b2c91aa0b8b3183851970153ed8da941a2de27ed6afc77408bed2c"),
+            ("balance", "b7768373f51dc788b9327588f5541c683e4370d65b7e8107f2a0d5f8e99428de"),
+            ("mark", "fbb649028fc7919bb9dc935ae5c5e50cfa8624d2a9a5c0b0a4d21832bc4a2744"),
+            ("greedydual:max",
+             "75ae08d652ca838e842d4a2bd92a9708c43db252d10aaf847ada9b1799b2495a"),
+            ("greedydual:min",
+             "e22efcc16ec6ae0fa8b89df8f2e4fb37ea5d4b491ebf17d86addd943c3392c33"),
+        ],
+    )
+    def test_event_logs(self, spec, digest):
+        h = hashlib.sha256()
+        for nodes, wmax in ((3, 1), (7, 1), (20, 1), (4, 9), (9, 12), (30, 5)):
+            for k in range(1, 11):
+                t = generate_random(nodes, 250, wmax, seed=1000 * nodes + 10 * wmax + k)
+                r = run(spec, k, t, seed=k)
+                rows = [(e.index, e.node, e.kind, e.evicted, e.cost) for e in r.events]
+                h.update(repr((rows, r.final_nodes, r.total_cost)).encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "trace, argv, stdout_digest, csv_digest",
+        [
+            (
+                generate_random(15, 400, 1, seed=5),
+                ["--n", "14", "--trials", "5", "--seed", "3", "--c-family", "log:2"],
+                "842a647c0e2f5c70096dc98e90fa74f4801f14a50a2e1e33c1d93f0e6b5c5bf5",
+                "bd6ac332a401e0691e50801f648e79479be1324ae8762c113383e4f31e47f4d7",
+            ),
+            (
+                generate_random(12, 200, 9, seed=6),
+                ["--n", "9", "--trials", "4", "--seed", "8", "--c-family", "const:2",
+                 "--d", "2"],
+                "c785c54a1c656ef7c02a10d9cbde715967a67955de38b6b80b30fed0cfeb5bb0",
+                "9db80d2a22dc508c105b67326dc4feeecf4399f1d7e0970f6bfa91824cb66f65",
+            ),
+        ],
+        ids=["unit", "weighted"],
+    )
+    def test_sweep_bytes(self, tmp_path, trace, argv, stdout_digest, csv_digest):
+        path, out = tmp_path / "t.txt", tmp_path / "o.csv"
+        path.write_text(serialize_trace(trace), encoding="utf-8")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(
+                ["sweep", "--trace", str(path), "--out", str(out),
+                 "--strategies", ",".join(ALL_SPECS), *argv]
+            )
+        assert code == 0
+        assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == stdout_digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest

@@ -45,7 +45,7 @@ class TestRatioFamily:
             parse_family("log")
         with pytest.raises(ValueError):
             parse_family("nope:1")
-        for text in ("const:0", "log:-1", "loglog:-5", "log:1/0"):
+        for text in ("const:0", "log:-1", "loglog:-5", "log:1/0", "const:1e400", "log:-1e400"):
             with pytest.raises(ValueError):
                 parse_family(text)
 
@@ -95,6 +95,13 @@ class TestSweep:
         t = generate_random(3, 20, 5, seed=0)
         with pytest.raises(ValueError):
             sweep(t, ["lru"], 2, opt_method="belady")
+
+    def test_weights_beyond_float_range_rejected_before_running(self):
+        # len * max weight = 2 * 2^511: its square is beyond float range
+        t = parse_trace(f"a {2**511}\nb\n")
+        with pytest.raises(ValueError, match="float"):
+            sweep(t, ["lru"], 2, opt_method="flow", size_cap=1)
+        assert sweep(parse_trace(f"a {2**510}\nb\n"), ["lru", "mark"], 2).opt1 == 2**510
 
     def test_flow_cap_checked_before_running(self):
         t = generate_random(3, 40, 5, seed=0)
@@ -231,6 +238,20 @@ class TestCsvAndPlots:
         assert lines[0] == "k,strategy,cost,opt,ratio,phases,avenew,violator"
         assert len(lines) == 1 + 3 * 2
         assert all(line.count(",") == 7 for line in lines)
+
+    @pytest.mark.parametrize("family, d", [("log:1", 1), ("const:1", 2), ("const:1", 1)])
+    def test_violator_column_matches_count_violators(self, family, d):
+        table = sweep(generate_random(6, 80, 1, seed=3), ["lru", "mark"], 5, mark_trials=4)
+        fam = parse_family(family)
+        reports = {name: count_violators(table, name, fam, d) for name in table.strategies}
+        assert any(rep.count for rep in reports.values())
+        text = table_to_csv(table, fam, d)
+        flagged = {
+            (int(row[0]), row[1])
+            for row in (line.split(",") for line in text.splitlines()[1:])
+            if row[7] == "1"
+        }
+        assert flagged == {(k, name) for name, rep in reports.items() for k in rep.ks}
 
     def test_csv_without_family_leaves_flag_empty(self):
         table = sweep(generate_cyclic(3, 12), ["lru"], 2)

@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimal", help="offline optimal cost and schedule")
     add_common(p_opt)
     p_opt.add_argument(
-        "--opt", choices=("auto", "flow", "belady"), default="auto",
+        "--opt", choices=offline.OPT_METHODS, default="auto",
         help="solver: belady needs unit weights; auto picks per trace",
     )
 
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sw.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sw.add_argument("--trials", type=int, default=100, help="mark sample count")
-    p_sw.add_argument("--opt", choices=("auto", "flow", "belady"), default="auto")
+    p_sw.add_argument("--opt", choices=offline.OPT_METHODS, default="auto")
     p_sw.add_argument("--c-family", dest="c_family", default=None,
                       help="ratio family log:A | loglog:B | const:C")
     p_sw.add_argument("--d", default="1", help="significance exponent (rational)")
@@ -128,9 +128,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_optimal(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
-    method = args.opt
-    if method == "auto":
-        method = "belady" if trace.is_paging else "flow"
+    method = offline.resolve_opt_method(trace, args.opt)
     if args.out and method == "belady":
         raise ValueError("the schedule CSV needs --opt flow (belady computes cost only)")
     if method == "belady":

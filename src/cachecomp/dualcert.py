@@ -41,6 +41,12 @@ and (a, b) and checks in exact arithmetic, at every request, that
 With feasibility of (a, b) (``check_feasibility``) the last invariant
 certifies that the run costs at most k/(k-h+1) times the offline optimum
 with h <= k servers, with no additive slack.
+
+The dual is stored once, as the final (a, b) in ``CertifiedRun.dual``;
+each step records only its cumulative raise.  A raise lifts every live
+variable by the same amount, so after step s every b[j] with j <= s+1
+and every a[i] of a request that has left S stands at its final value
+plus raised_s - R (``dual_at_step``, ``served_b_sum``).
 """
 
 from __future__ import annotations
@@ -104,14 +110,12 @@ class DualSolution:
 
 @dataclass(frozen=True)
 class ServedEntry:
-    """One served request: request ``i`` holds the server ``chain`` (server
-    ids count placements, matching the label simulation), which last moved
-    at request ``moved``.  Indices are 1-based; the artificial request 0
-    appears via StepRecord.zero_mult instead."""
+    """One served request ``i`` whose server last moved at request
+    ``moved``.  Indices are 1-based; the artificial request 0 appears via
+    StepRecord.zero_mult instead."""
 
     i: int
     moved: int
-    chain: int
 
 
 @dataclass(frozen=True)
@@ -128,15 +132,13 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class CertifiedRun:
+    """A certified GreedyDual run; ``result`` holds its trace and k."""
+
     result: SimulationResult
     dual: DualSolution
-    k: int
     relabel: str
-    trace: RequestTrace
     history: tuple[StepRecord, ...]
     relabels: tuple[tuple[int, int], ...]  # (1-based request, raise amount)
-    raise_at_start: tuple[int, ...]  # cumulative raise before request j
-    leave_raise: dict[int, int]  # request -> cumulative raise when it left S
 
 
 def run_greedydual_certified(
@@ -203,10 +205,10 @@ def _replay(
                     )
 
         if old is not None:
-            moved, chain = old.moved, old.chain
+            moved = old.moved
             leave_raise[old.i] = raised  # the superseded request exits S here
         elif zero_mult > 0:
-            moved, chain = idx, k - zero_mult  # server ids count placements
+            moved = idx
             zero_mult -= 1
             sum_served_b -= raised - offsets[0]
             if zero_mult == 0:
@@ -221,8 +223,8 @@ def _replay(
             leave_raise[victim.i] = raised
             sum_served_b -= victim_b
             distance += ev.cost
-            moved, chain = idx, victim.chain
-        served[v] = ServedEntry(idx, moved, chain)
+            moved = idx
+        served[v] = ServedEntry(idx, moved)
 
         if distance > k * raised - sum_served_b:
             raise CertificateError(
@@ -243,13 +245,9 @@ def _replay(
     return CertifiedRun(
         result=result,
         dual=DualSolution(tuple(a), tuple(b)),
-        k=k,
         relabel=relabel,
-        trace=trace,
         history=tuple(history),
         relabels=tuple(relabels),
-        raise_at_start=(0, *offsets[:n]),
-        leave_raise=leave_raise,
     )
 
 
@@ -355,7 +353,7 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
 
     evaluated exactly as (k-h+1)*cost <= k*dual_cost - (k-h+1)*sum(...).
     """
-    k = run.k
+    k = run.result.k
     if not 1 <= h <= k:
         raise ValueError("need 1 <= h <= k")
     dc = dual_cost(run.dual, h)
@@ -369,11 +367,12 @@ def served_b_sum(run: CertifiedRun, step: int) -> int:
     b[moved+1] as of ``step`` (0-based); cross-checks the running value."""
     rec = run.history[step]
     n = run.dual.n
+    shift = rec.raised - run.history[-1].raised
 
     def b_at_step(j: int) -> int:
         if j > n or j > step + 1:
             return 0
-        return rec.raised - run.raise_at_start[j]
+        return run.dual.b[j] + shift
 
     total = rec.zero_mult * b_at_step(1)
     for e in rec.served:
@@ -383,21 +382,23 @@ def served_b_sum(run: CertifiedRun, step: int) -> int:
 
 def dual_at_step(run: CertifiedRun, step: int) -> DualSolution:
     """The dual solution as it stood after processing request ``step``
-    (0-based), with zeros for variables not yet raised."""
+    (0-based): b[j] for the requests seen so far and a[i] for those that
+    have left S, each its final value shifted down by the raise still to
+    come; zeros elsewhere."""
     n = run.dual.n
     if not 0 <= step < len(run.history):
         raise ValueError("step out of range")
     rec = run.history[step]
-    b = [0] * (n + 1)
+    shift = rec.raised - run.history[-1].raised
+    a, b = [0] * (n + 1), [0] * (n + 1)
     for j in range(1, min(step + 1, n) + 1):
-        b[j] = rec.raised - run.raise_at_start[j]
+        b[j] = run.dual.b[j] + shift
     in_s = {e.i for e in rec.served}
-    a = [0] * (n + 1)
-    if rec.zero_mult == 0 and 0 in run.leave_raise:
-        a[0] = rec.raised - run.leave_raise[0]
-    for i in range(1, step + 2):
-        if i not in in_s and i in run.leave_raise:
-            a[i] = rec.raised - run.leave_raise[i]
+    if rec.zero_mult:
+        in_s.add(0)  # request 0 holds the unplaced servers
+    for i in range(step + 2):
+        if i not in in_s:
+            a[i] = run.dual.a[i] + shift
     return DualSolution(tuple(a), tuple(b))
 
 
@@ -409,11 +410,11 @@ def export_certificate(run: CertifiedRun) -> str:
     Served entries are rendered ``i:i'`` and the artificial request as
     ``0*multiplicity``.
     """
-    trace = run.trace
+    trace = run.result.trace
     n = run.dual.n
     lines = [
         "cachecomp-certificate 1",
-        f"k {run.k}",
+        f"k {run.result.k}",
         f"policy {run.relabel}",
         f"requests {n}",
         f"cost {run.result.total_cost}",

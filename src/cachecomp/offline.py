@@ -55,11 +55,14 @@ __all__ = [
     "opt_belady",
     "opt_bruteforce",
     "opt_single_server",
+    "OPT_METHODS",
+    "resolve_opt_method",
 ]
 
 _INF = float("inf")
 
 DEFAULT_FLOW_CAP = 100_000
+OPT_METHODS = ("auto", "flow", "belady")
 BRUTE_FORCE_MAX_LEN = 12
 BRUTE_FORCE_MAX_K = 4
 
@@ -240,10 +243,20 @@ def _interval_flow(trace: RequestTrace, k: int, size_cap: int) -> _IntervalFlow:
         raise ValueError("k must be >= 1")
     if len(trace) > size_cap:
         raise InstanceSizeError(
-            f"trace has {len(trace)} requests > cap {size_cap}; "
-            "use opt_belady for unit weights or raise size_cap"
+            f"flow solver capped at {size_cap} requests, trace has {len(trace)}; "
+            "use belady (unit weights) or sample the trace"
         )
     return _IntervalFlow(trace, k)
+
+
+def resolve_opt_method(trace: RequestTrace, method: str) -> str:
+    """The solver behind ``method``: ``auto`` is belady on unit weights and
+    flow otherwise.  ``opt_belady`` itself rejects weighted traces."""
+    if method not in OPT_METHODS:
+        raise ValueError(f"unknown opt method {method!r}")
+    if method == "auto":
+        return "belady" if trace.is_paging else "flow"
+    return method
 
 
 def opt_flow(trace: RequestTrace, k: int, size_cap: int = DEFAULT_FLOW_CAP) -> OptSchedule:
@@ -301,20 +314,16 @@ def opt_belady(trace: RequestTrace, k: int) -> int:
     return cost
 
 
-def opt_bruteforce(
-    trace: RequestTrace,
-    k: int,
-    max_len: int = BRUTE_FORCE_MAX_LEN,
-    max_k: int = BRUTE_FORCE_MAX_K,
-) -> int:
+def opt_bruteforce(trace: RequestTrace, k: int) -> int:
     """Exhaustive minimum over all demand schedules (the test oracle).
 
     Explores every reachable cache-content set with its cheapest cost;
     intended only for tiny instances.
     """
-    if len(trace) > max_len or k > max_k:
+    if len(trace) > BRUTE_FORCE_MAX_LEN or k > BRUTE_FORCE_MAX_K:
         raise InstanceSizeError(
-            f"brute force capped at {max_len} requests / k <= {max_k}"
+            f"brute force capped at {BRUTE_FORCE_MAX_LEN} requests"
+            f" / k <= {BRUTE_FORCE_MAX_K}"
         )
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -3,7 +3,8 @@
 All strategies share the free-initial-placement convention: a request to an
 unserved node is satisfied by an unplaced server at no cost while one
 remains; only after all k servers are placed does a miss force a paid move.
-Costs are exact integers (the weight of the vacated node).
+Costs are exact integers: the weight of each vacated node, so a flush
+pays for every node it unplaces.
 
 Each engine only decides: it walks the trace with O(1) or O(log k) work
 per request and records the paid decisions.  Sweeps read only the cost,
@@ -59,8 +60,9 @@ class Event:
     """One log entry.  ``index`` is the 0-based position in the trace.
 
     kind=="move" carries the evicted node and its weight as cost;
-    kind=="flush" (flush-when-full only) carries cost k and no single
-    evicted node, and is followed by a "free" event for the same index.
+    kind=="flush" (flush-when-full only) carries no single evicted node and
+    the summed weight of the nodes it unplaces as cost, and is followed by
+    a "free" event for the same index.
     """
 
     index: int
@@ -102,9 +104,10 @@ class SimulationResult:
                     node_of[s] = v
                     events.append(Event(i, v, MOVE, evicted=u, cost=weights[u]))
                     continue
+                cost = sum(weights[u] for u in where)
+                events.append(Event(i, v, FLUSH, cost=cost))
                 where.clear()
                 node_of = [None] * k
-                events.append(Event(i, v, FLUSH, cost=k))
             s = len(where)
             node_of[s] = v
             where[v] = s
@@ -120,14 +123,6 @@ class SimulationResult:
     def final_nodes(self) -> tuple[int | None, ...]:
         """Node per server id; None = never placed (or flushed, not refilled)."""
         return self._expanded[1]
-
-    def moves(self) -> tuple[Event, ...]:
-        """Paid events only (moves and flushes)."""
-        return tuple(e for e in self.events if e.kind in (MOVE, FLUSH))
-
-    def eviction_decisions(self) -> tuple[tuple[int, int | None], ...]:
-        """(request index, evicted node) for every paid event."""
-        return self.paid
 
 
 @dataclass(frozen=True)
@@ -173,18 +168,23 @@ def _run_recency(trace: RequestTrace, k: int, refresh: bool) -> list:
     return paid
 
 
-def _run_fwf(trace: RequestTrace, k: int) -> list:
+def _run_fwf(trace: RequestTrace, k: int) -> tuple[list, int]:
     """Flush-when-full: on a miss with every server placed, remove all
-    servers at a flat cost of k, then keep placing for free."""
+    servers, paying the weight of every node they leave, then keep placing
+    for free.  Returns the decisions and their cost."""
+    weights = trace.weights
     served: set[int] = set()
+    held = cost = 0  # held: summed weight of the served nodes
     paid = []
     for i, v in enumerate(trace.requests):
         if v not in served:
             if len(served) == k:
                 served.clear()
                 paid.append((i, None))
+                cost, held = cost + held, 0
             served.add(v)
-    return paid
+            held += weights[v]
+    return paid, cost
 
 
 def _run_balance(trace: RequestTrace, k: int) -> list:
@@ -333,7 +333,8 @@ def run(
     if name in ("lru", "fifo"):
         paid = _run_recency(trace, k, refresh=name == "lru")
     elif name == "fwf":
-        paid = _run_fwf(trace, k)
+        paid, cost = _run_fwf(trace, k)
+        return SimulationResult(name, k, cost, tuple(paid), trace)
     elif name == "balance":
         paid = _run_balance(trace, k)
     elif name == "mark":
@@ -344,5 +345,5 @@ def run(
 
 
 def _result(name: str, k: int, trace: RequestTrace, paid: list) -> SimulationResult:
-    cost = sum(k if u is None else trace.weights[u] for _, u in paid)
+    cost = sum(trace.weights[u] for _, u in paid)
     return SimulationResult(name, k, cost, tuple(paid), trace)

@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_BOUND_CONSTANT = 8
-OPT_METHODS = ("auto", "flow", "belady")
 
 
 @dataclass(frozen=True)
@@ -113,12 +112,9 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    trace_length: int
     n: int
     strategies: tuple[str, ...]
     opt_method: str
-    seed: int
-    mark_trials: int
     rows: tuple[SweepRow, ...]
     opt1: int  # offline optimum with one server, computed directly
 
@@ -136,16 +132,6 @@ def _mark_trial_seed(seed: int, k: int, trial: int) -> int:
     return seed ^ mix
 
 
-def _resolve_opt_method(trace: RequestTrace, opt_method: str) -> str:
-    if opt_method not in OPT_METHODS:
-        raise ValueError(f"unknown opt method {opt_method!r}")
-    if opt_method == "auto":
-        return "belady" if trace.is_paging else "flow"
-    if opt_method == "belady" and not trace.is_paging:
-        raise ValueError("belady requires a unit-weight trace")
-    return opt_method
-
-
 def sweep(
     trace: RequestTrace,
     strategies: list[StrategySpec | str],
@@ -160,7 +146,8 @@ def sweep(
     Deterministic for fixed arguments: the marking strategy's cost is the
     exact mean over ``mark_trials`` runs whose seeds derive from ``seed``,
     k, and the trial index only, so results are independent of evaluation
-    order.  Method feasibility is validated before any simulation runs.
+    order.  The offline optima come first, so an infeasible method or a
+    trace over ``size_cap`` fails before any strategy runs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -171,13 +158,7 @@ def sweep(
     if (len(trace) * max(trace.weights, default=1)) ** 2 > sys.float_info.max:
         raise ValueError("weights too large for a sweep's floating-point columns")
     specs = [parse_strategy(s) if isinstance(s, str) else s for s in strategies]
-    method = _resolve_opt_method(trace, opt_method)
-    if method == "flow" and len(trace) > size_cap:
-        raise offline.InstanceSizeError(
-            f"flow solver capped at {size_cap} requests; "
-            "use belady (unit weights) or sample the trace"
-        )
-
+    method = offline.resolve_opt_method(trace, opt_method)
     if method == "flow":
         opt_costs = offline.opt_flow_profile(trace, n, size_cap=size_cap)
     else:
@@ -207,12 +188,9 @@ def sweep(
         rows.append(SweepRow(k, opt_costs[k - 1], p.num_phases, p.avenew, costs, stderr))
 
     return SweepTable(
-        trace_length=len(trace),
         n=n,
         strategies=tuple(str(s) for s in specs),
         opt_method=method,
-        seed=seed,
-        mark_trials=mark_trials,
         rows=tuple(rows),
         opt1=offline.opt_single_server(trace),
     )
@@ -267,16 +245,15 @@ def violator_bound_limit(
     n: int,
     d: Fraction | int,
     for_mark: bool = False,
-    constant: int = DEFAULT_BOUND_CONSTANT,
 ) -> float:
-    """Scarcity ceiling on the violator count.
+    """Scarcity ceiling on the violator count, with C = DEFAULT_BOUND_CONSTANT.
 
     Conservative strategies: C * (d+1) * ln(n) * n / c(n).
     Marking:                 C * (d+1) * ln(n) * n * exp(1 - c(n)/2).
     """
     d = float(Fraction(d))
     c_n = float(family.value(n))
-    base = constant * (d + 1) * math.log(n) * n
+    base = DEFAULT_BOUND_CONSTANT * (d + 1) * math.log(n) * n
     if for_mark:
         return base * math.exp(1 - c_n / 2)
     return base / c_n
@@ -288,17 +265,13 @@ def violator_bound_check(
     family: RatioFamily,
     d: Fraction | int,
     n: int,
-    mark_trials: int = 100,
-    seed: int = DEFAULT_SEED,
-    constant: int = DEFAULT_BOUND_CONSTANT,
 ) -> bool:
-    """Sweep the trace and test the violator count against its ceiling."""
+    """Sweep the trace with ``sweep``'s defaults and test the violator
+    count against its ceiling."""
     spec = parse_strategy(strategy)
-    table = sweep(trace, [spec], n, mark_trials=mark_trials, seed=seed)
+    table = sweep(trace, [spec], n)
     report = count_violators(table, str(spec), family, d)
-    limit = violator_bound_limit(
-        family, n, d, for_mark=spec.name == "mark", constant=constant
-    )
+    limit = violator_bound_limit(family, n, d, for_mark=spec.name == "mark")
     return report.count <= limit
 
 

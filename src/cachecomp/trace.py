@@ -67,9 +67,6 @@ class RequestTrace:
         """True when every weight is 1 (uniform eviction cost)."""
         return all(w == 1 for w in self.weights)
 
-    def weight(self, node: int) -> int:
-        return self.weights[node]
-
     def distinct_requested(self) -> int:
         """Number of distinct nodes actually requested (<= num_nodes)."""
         return len(set(self.requests))

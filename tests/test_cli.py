@@ -86,6 +86,14 @@ class TestOptimal:
         code, _, err = run_cli(capsys, "optimal", "--k", "2", "--trace", "/no/such")
         assert code == 1 and err
 
+    @pytest.mark.parametrize(
+        "argv", [["optimal", "--k", "2"], ["sweep", "--n", "2", "--strategies", "lru"]],
+        ids=["optimal", "sweep"],
+    )
+    def test_belady_on_weighted_trace_is_domain_error(self, capsys, weighted_file, argv):
+        code, out, err = run_cli(capsys, *argv, "--opt", "belady", "--trace", weighted_file)
+        assert code == cli.DOMAIN_ERROR and err.startswith("error:") and out == ""
+
 
 class TestCertify:
     def test_pass_verdict(self, capsys, weighted_file, tmp_path):
@@ -200,8 +208,8 @@ class TestSweep:
         assert code == cli.DOMAIN_ERROR and err.startswith("error:") and out == ""
 
     def test_d_beyond_float_range_with_one_server(self, capsys, tmp_path):
-        # fwf charges 1 per flush, so its k = 1 cost (4) is below opt1 (20):
-        # only the opt1 / n^d floor, which is opt1 for n = 1, keeps it out
+        # n^d overflows a float for d = 1e400; with n = 1 the floor is opt1
+        # (20), which fwf's one-server cost ties, and ties count
         path = tmp_path / "w.txt"
         path.write_text("a 5\nb 5\na\nb\na\n", encoding="utf-8")
         argv = ["sweep", "--trace", str(path), "--n", "1", "--strategies", "fwf",
@@ -209,7 +217,7 @@ class TestSweep:
         code, huge, err = run_cli(capsys, *argv, "--d", "1e400")
         assert code == 0 and err == ""
         assert run_cli(capsys, *argv, "--d", "1")[1] == huge
-        assert "violators fwf 0\n" in huge
+        assert "violators fwf 1 [1]\n" in huge
 
     def test_huge_d_with_log_family(self, capsys, trace_file):
         # n^d overflows a float here; the floor is then below any cost

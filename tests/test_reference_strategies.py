@@ -85,10 +85,11 @@ def ref_fwf(trace, k):
             state.hit(i, v)
             continue
         if len(state.where) == k:
+            cost = sum(trace.weights[u] for u in state.node_of)
             state.where.clear()
             state.node_of = [None] * k
-            state.events.append(Event(i, v, FLUSH, cost=k))
-            state.cost += k
+            state.events.append(Event(i, v, FLUSH, cost=cost))
+            state.cost += cost
         state.place(i, v, state.unplaced_server())
     return state
 
@@ -182,7 +183,7 @@ def assert_matches_reference(spec, k, trace, seed):
     assert got.events == tuple(ref.events)
     assert got.final_nodes == tuple(ref.node_of)
     assert got.total_cost == ref.cost
-    assert got.eviction_decisions() == tuple(
+    assert got.paid == tuple(
         (e.index, e.evicted) for e in ref.events if e.kind in (MOVE, FLUSH)
     )
 

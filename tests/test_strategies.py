@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cachecomp import cli
-from cachecomp.offline import opt_bruteforce, opt_single_server
+from cachecomp.offline import opt_bruteforce, opt_flow, opt_single_server
 from cachecomp.strategies import (
     FLUSH,
     FREE,
@@ -80,6 +80,21 @@ class TestFwf:
         kinds = [e.kind for e in r.events]
         assert kinds == [FREE, FREE, FLUSH, FREE]
         assert r.events[2].cost == 2
+
+    def test_flush_charges_unplaced_weights(self):
+        r = run("fwf", 2, parse_trace("a 5\nb 2\nc\na\n"))
+        assert [e.cost for e in r.events] == [0, 0, 7, 0, 0]
+        assert r.total_cost == 7
+
+    def test_never_below_offline_optimum_on_weighted_traces(self):
+        for seed in range(12):
+            t = generate_random(4 + seed, 120, 9, seed=seed)
+            for k in range(1, 7):
+                r = run("fwf", k, t)
+                assert r.total_cost == sum(e.cost for e in r.events)
+                assert r.total_cost >= opt_flow(t, k).cost, (seed, k)
+        t = generate_random(12, 200, 9, seed=6)
+        assert run("fwf", 1, t).total_cost == opt_flow(t, 1).cost == 836
 
     def test_flush_then_refill(self):
         r = run("fwf", 2, parse_trace("a\nb\nc\nd\nc\n"))
@@ -265,14 +280,16 @@ ALL_SPECS = ["lru", "fifo", "fwf", "balance", "mark", "greedydual:max", "greedyd
 
 class TestGoldenPins:
     """sha256 pins recorded with the engines that built every event inline
-    and chose victims by scanning all k servers."""
+    and chose victims by scanning all k servers.  The fwf log and the
+    weighted sweep were re-recorded when a flush came to pay the weights
+    of the nodes it unplaces instead of a flat k."""
 
     @pytest.mark.parametrize(
         "spec, digest",
         [
             ("lru", "28ee8f17dbb8e98e94bf5d33c93146492461dff52065b7b51fa8ea66efc5e71c"),
             ("fifo", "bf029003d1ff4bf9e76eb3398075a9f0ff26acf810316a9304fb2aea153e7e07"),
-            ("fwf", "9a886eb0f7b2c91aa0b8b3183851970153ed8da941a2de27ed6afc77408bed2c"),
+            ("fwf", "1d4f7e0f65d4fc853e911c70e91225a7b7cf43e99b6e855645e66f499793b738"),
             ("balance", "b7768373f51dc788b9327588f5541c683e4370d65b7e8107f2a0d5f8e99428de"),
             ("mark", "fbb649028fc7919bb9dc935ae5c5e50cfa8624d2a9a5c0b0a4d21832bc4a2744"),
             ("greedydual:max",
@@ -304,8 +321,8 @@ class TestGoldenPins:
                 generate_random(12, 200, 9, seed=6),
                 ["--n", "9", "--trials", "4", "--seed", "8", "--c-family", "const:2",
                  "--d", "2"],
-                "c785c54a1c656ef7c02a10d9cbde715967a67955de38b6b80b30fed0cfeb5bb0",
-                "9db80d2a22dc508c105b67326dc4feeecf4399f1d7e0970f6bfa91824cb66f65",
+                "07b19707e512713e4ccc5a2567dda6928ac4ade242fc92478447d37c23d49b4c",
+                "3db23e17c9b62077083bd48b5d6a6d539fee2cf388193db8914614dad2c91a6c",
             ),
         ],
         ids=["unit", "weighted"],

@@ -7,6 +7,8 @@ import pytest
 from cachecomp.offline import InstanceSizeError, opt_bruteforce, opt_flow
 from cachecomp.sweep import (
     RatioFamily,
+    SweepRow,
+    SweepTable,
     count_violators,
     gnuplot_script,
     parse_family,
@@ -189,6 +191,15 @@ class TestViolators:
             count_violators(with_mark, "lru", fam, 1).ks
             == count_violators(without, "lru", fam, 1).ks
         )
+
+    def test_one_server_floor_when_n_to_the_d_overflows(self):
+        # a hand-built row below opt1: only the opt1 / n^d floor, which is
+        # opt1 for n = 1 even when n^d overflows a float, keeps it out
+        row = SweepRow(1, 2, 0, Fraction(0), {"x": 4})
+        table = SweepTable(1, ("x",), "flow", (row,), opt1=20)
+        fam = parse_family("log:1/100")
+        for d in (1, Fraction(10**400)):
+            assert count_violators(table, "x", fam, d).count == 0
 
     def test_unknown_strategy_rejected(self):
         table = sweep(generate_cyclic(3, 12), ["lru"], 2)

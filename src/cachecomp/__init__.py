@@ -16,6 +16,7 @@ from .dualcert import (
     dual_cost,
     export_certificate,
     run_greedydual_certified,
+    write_certificate,
 )
 from .offline import (
     InstanceSizeError,
@@ -109,5 +110,6 @@ __all__ = [
     "table_to_csv",
     "verify_phase_shrink",
     "violator_bound_check",
+    "write_certificate",
     "__version__",
 ]

@@ -117,11 +117,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"strategy {result.strategy}")
     print(f"k {result.k}")
     print(f"cost {result.total_cost}")
-    lines = ["index,node,kind,evicted,cost"]
-    for e in result.events:
-        evicted = trace.labels[e.evicted] if e.evicted is not None else ""
-        lines.append(f"{e.index},{trace.labels[e.node]},{e.kind},{evicted},{e.cost}")
     if args.out or args.verbose:
+        lines = ["index,node,kind,evicted,cost"]
+        for e in result.events:
+            evicted = trace.labels[e.evicted] if e.evicted is not None else ""
+            lines.append(f"{e.index},{trace.labels[e.node]},{e.kind},{evicted},{e.cost}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -172,7 +172,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     verdict = feasible and bound_ok
     print(f"verdict {'PASS' if verdict else 'FAIL'}")
     if args.out:
-        Path(args.out).write_text(dualcert.export_certificate(run), encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fp:
+            dualcert.write_certificate(run, fp)
     return 0 if verdict else CERT_FAILURE
 
 
@@ -184,12 +185,12 @@ def _cmd_phases(args: argparse.Namespace) -> int:
     print(f"num_phases {p.num_phases}")
     avenew = f"{p.avenew}" if p.avenew_defined else "undefined"
     print(f"avenew {avenew}")
-    lines = ["phase,start,end,distinct,new"]
-    for i, (s, e) in enumerate(p.phase_slices()):
-        distinct = len(set(trace.requests[s:e]))
-        new = str(p.m[i - 1]) if i >= 1 else ""
-        lines.append(f"{i + 1},{s},{e},{distinct},{new}")
     if args.out or args.verbose:
+        lines = ["phase,start,end,distinct,new"]
+        for i, (s, e) in enumerate(p.phase_slices()):
+            distinct = len(set(trace.requests[s:e]))
+            new = str(p.m[i - 1]) if i >= 1 else ""
+            lines.append(f"{i + 1},{s},{e},{distinct},{new}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -43,15 +43,27 @@ certifies that the run costs at most k/(k-h+1) times the offline optimum
 with h <= k servers, with no additive slack.
 
 The dual is stored once, as the final (a, b) in ``CertifiedRun.dual``;
-each step records only its cumulative raise.  A raise lifts every live
-variable by the same amount, so after step s every b[j] with j <= s+1
-and every a[i] of a request that has left S stands at its final value
-plus raised_s - R (``dual_at_step``, ``served_b_sum``).
+each step records only O(1) integers: the unplaced servers, its
+cumulative raise, the paid distance and the served-set term.  A raise
+lifts every live variable by the same amount, so after step s every b[j]
+with j <= s+1 and every a[i] of a request that has left S stands at its
+final value plus raised_s - R (``dual_at_step``, ``served_b_sum``).
+
+The served multiset is not kept per step.  Each event changes it by at
+most one removal and one insertion, so one O(N) walk of the event log
+rebuilds it step by step (``served_at``, ``served_b_sum``,
+``dual_at_step`` and the exporter share that walk).  The certified run
+therefore holds O(N + k) memory, and ``write_certificate`` streams the
+text certificate one line at a time.
 """
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TextIO, TypeVar
 
 from .strategies import (
     FREE,
@@ -62,6 +74,8 @@ from .strategies import (
     _greedydual,
 )
 from .trace import RequestTrace
+
+_Entry = TypeVar("_Entry")
 
 __all__ = [
     "DualSolution",
@@ -76,7 +90,10 @@ __all__ = [
     "check_feasibility_fast",
     "check_primal_dual_bound",
     "dual_at_step",
+    "served_at",
+    "served_b_sum",
     "export_certificate",
+    "write_certificate",
 ]
 
 
@@ -118,13 +135,13 @@ class ServedEntry:
     moved: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
-    """State after one request: served multiset, cumulative raise, paid
-    distance, and the served-set term of the certified bound."""
+    """State after one request: unplaced servers, cumulative raise, paid
+    distance, and the served-set term of the certified bound.  The served
+    multiset itself is rebuilt on demand (``served_at``)."""
 
     zero_mult: int
-    served: tuple[ServedEntry, ...]
     raised: int
     distance: int
     served_b_sum: int
@@ -140,6 +157,61 @@ class CertifiedRun:
     history: tuple[StepRecord, ...]
     relabels: tuple[tuple[int, int], ...]  # (1-based request, raise amount)
 
+    @cached_property
+    def _served_cursor(self) -> _ServedCursor:
+        return _ServedCursor(self.result)
+
+
+def _served_walk(
+    result: SimulationResult, entry: Callable[[int, int], _Entry]
+) -> Iterator[dict[int, _Entry]]:
+    """Rebuild the served multiset from a GreedyDual event log.
+
+    Yields after each request one dict, updated in place, mapping each
+    served node to ``entry(i, moved)`` for its 1-based request ``i`` and
+    the request ``moved`` at which its server last moved.  A request
+    re-inserts its node, so the values stay ordered by ``i``; the
+    unplaced servers are ``StepRecord.zero_mult``."""
+    served: dict[int, _Entry] = {}
+    moved_at: dict[int, int] = {}
+    for idx, ev in enumerate(result.events, start=1):
+        v = ev.node
+        if ev.kind == HIT:
+            del served[v]
+        else:
+            moved_at[v] = idx
+            if ev.kind == MOVE:
+                del served[ev.evicted], moved_at[ev.evicted]
+        served[v] = entry(idx, moved_at[v])
+        yield served
+
+
+class _ServedCursor:
+    """One walk of a run's served multiset, shared by the per-step
+    queries: stepping forward costs one event, stepping back restarts.
+    The lock keeps threads that query one run from moving it under each
+    other."""
+
+    def __init__(self, result: SimulationResult) -> None:
+        self._result = result
+        self._lock = threading.Lock()
+        self._rewind()
+
+    def _rewind(self) -> None:
+        self._walk = _served_walk(self._result, lambda i, moved: (i, moved))
+        self._step = -1
+        self._served: dict[int, tuple[int, int]] = {}
+
+    def at(self, step: int) -> tuple[tuple[int, int], ...]:
+        """The ``(i, moved)`` pairs of the served multiset after ``step``."""
+        with self._lock:
+            if step < self._step:
+                self._rewind()
+            while self._step < step:
+                self._served = next(self._walk)
+                self._step += 1
+            return tuple(self._served.values())
+
 
 def run_greedydual_certified(
     trace: RequestTrace,
@@ -154,20 +226,20 @@ def run_greedydual_certified(
     invariant fails at any request.
     """
     result, offsets = _greedydual(trace, k, relabel)
-    return _replay(trace, k, relabel, result, offsets)
+    return _replay(relabel, result, offsets)
 
 
 def _replay(
-    trace: RequestTrace,
-    k: int,
     relabel: str,
     result: SimulationResult,
     offsets: list[int],
 ) -> CertifiedRun:
-    """Certify an event log given the label offset at the start of each
-    request and the final offset.  The offset is the cumulative raise:
-    once request n has relabelled, raised = offsets[n] and the current
-    b[j] for j <= n is raised - offsets[j-1]."""
+    """Certify the event log of ``result`` (on its trace, with its k)
+    given the label offset at the start of each request and the final
+    offset.  The offset is the cumulative raise: once request n has
+    relabelled, raised = offsets[n] and the current b[j] for j <= n is
+    raised - offsets[j-1]."""
+    trace, k = result.trace, result.k
     n = len(trace)
     reqs = trace.requests
     weights = trace.weights
@@ -231,11 +303,7 @@ def _replay(
                 f"certified bound violated after request {idx}: "
                 f"{distance} > {k}*{raised} - {sum_served_b}"
             )
-        history.append(
-            StepRecord(
-                zero_mult, tuple(served.values()), raised, distance, sum_served_b
-            )
-        )
+        history.append(StepRecord(zero_mult, raised, distance, sum_served_b))
 
     total = offsets[n]
     a = [0] * (n + 1)
@@ -362,6 +430,20 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
     return (k - h + 1) * cost <= k * dc - (k - h + 1) * served_sum
 
 
+def served_at(run: CertifiedRun, step: int) -> tuple[ServedEntry, ...]:
+    """The served multiset after request ``step`` (0-based), ordered by
+    request; the unplaced servers are ``run.history[step].zero_mult``.
+    Rebuilt from the event log by a walk kept with the run, so visiting
+    the steps in order costs O(k) per step."""
+    return tuple(ServedEntry(i, moved) for i, moved in _served_pairs(run, step))
+
+
+def _served_pairs(run: CertifiedRun, step: int) -> tuple[tuple[int, int], ...]:
+    if not 0 <= step < len(run.history):
+        raise ValueError("step out of range")
+    return run._served_cursor.at(step)
+
+
 def served_b_sum(run: CertifiedRun, step: int) -> int:
     """Recompute, from raw records, the served-set term sum over S of
     b[moved+1] as of ``step`` (0-based); cross-checks the running value."""
@@ -375,8 +457,8 @@ def served_b_sum(run: CertifiedRun, step: int) -> int:
         return run.dual.b[j] + shift
 
     total = rec.zero_mult * b_at_step(1)
-    for e in rec.served:
-        total += b_at_step(e.moved + 1)
+    for _, moved in _served_pairs(run, step):
+        total += b_at_step(moved + 1)
     return total
 
 
@@ -386,14 +468,12 @@ def dual_at_step(run: CertifiedRun, step: int) -> DualSolution:
     have left S, each its final value shifted down by the raise still to
     come; zeros elsewhere."""
     n = run.dual.n
-    if not 0 <= step < len(run.history):
-        raise ValueError("step out of range")
+    in_s = {i for i, _ in _served_pairs(run, step)}
     rec = run.history[step]
     shift = rec.raised - run.history[-1].raised
     a, b = [0] * (n + 1), [0] * (n + 1)
     for j in range(1, min(step + 1, n) + 1):
         b[j] = run.dual.b[j] + shift
-    in_s = {e.i for e in rec.served}
     if rec.zero_mult:
         in_s.add(0)  # request 0 holds the unplaced servers
     for i in range(step + 2):
@@ -402,33 +482,47 @@ def dual_at_step(run: CertifiedRun, step: int) -> DualSolution:
     return DualSolution(tuple(a), tuple(b))
 
 
+def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
+    """The v1 text certificate, one newline-terminated line at a time.
+    Each ``i:moved`` token is formatted once, when its entry is created."""
+    result = run.result
+    trace = result.trace
+    yield "cachecomp-certificate 1\n"
+    yield f"k {result.k}\n"
+    yield f"policy {run.relabel}\n"
+    yield f"requests {run.dual.n}\n"
+    yield f"cost {result.total_cost}\n"
+    yield "labels " + " ".join(trace.labels) + "\n"
+    yield "weights " + " ".join(map(str, trace.weights)) + "\n"
+    yield "trace " + " ".join(map(str, trace.requests)) + "\n"
+    yield "a " + " ".join(map(str, run.dual.a)) + "\n"
+    yield "b " + " ".join(map(str, run.dual.b[1:])) + "\n"
+    walk = _served_walk(result, "{}:{}".format)
+    for t, (rec, ev, served) in enumerate(
+        zip(run.history, result.events, walk), start=1
+    ):
+        # the requested node is served after every step, so S is never empty
+        zero = f"0*{rec.zero_mult}," if rec.zero_mult else ""
+        yield (
+            f"step {t} kind={ev.kind} cost={ev.cost} raised={rec.raised} "
+            f"dist={rec.distance} S={zero}" + ",".join(served.values()) + "\n"
+        )
+
+
 def export_certificate(run: CertifiedRun) -> str:
     """Text certificate listing the trace, dual vectors, and per-step
     served multiset with last-move pointers, so third-party tools can
     re-verify feasibility and the cost bound without this library.
 
     Served entries are rendered ``i:i'`` and the artificial request as
-    ``0*multiplicity``.
+    ``0*multiplicity``.  ``write_certificate`` writes the same text
+    without holding it in memory.
     """
-    trace = run.result.trace
-    n = run.dual.n
-    lines = [
-        "cachecomp-certificate 1",
-        f"k {run.result.k}",
-        f"policy {run.relabel}",
-        f"requests {n}",
-        f"cost {run.result.total_cost}",
-        "labels " + " ".join(trace.labels),
-        "weights " + " ".join(str(w) for w in trace.weights),
-        "trace " + " ".join(str(v) for v in trace.requests),
-        "a " + " ".join(str(x) for x in run.dual.a),
-        "b " + " ".join(str(x) for x in run.dual.b[1:]),
-    ]
-    for t, (rec, ev) in enumerate(zip(run.history, run.result.events), start=1):
-        parts = [f"0*{rec.zero_mult}"] if rec.zero_mult else []
-        parts += [f"{e.i}:{e.moved}" for e in rec.served]
-        lines.append(
-            f"step {t} kind={ev.kind} cost={ev.cost} raised={rec.raised} "
-            f"dist={rec.distance} S=" + ",".join(parts)
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(_certificate_lines(run))
+
+
+def write_certificate(run: CertifiedRun, fp: TextIO) -> None:
+    """Write ``export_certificate(run)`` to the text stream ``fp`` line by
+    line, so memory stays O(N + k) however long the certificate is."""
+    for line in _certificate_lines(run):
+        fp.write(line)

@@ -34,10 +34,12 @@ __all__ = [
     "violator_bound_check",
     "table_to_csv",
     "gnuplot_script",
+    "VIOLATOR_BOUND_CONSTANT",
     "DEFAULT_BOUND_CONSTANT",
 ]
 
-DEFAULT_BOUND_CONSTANT = 8
+VIOLATOR_BOUND_CONSTANT = 8
+DEFAULT_BOUND_CONSTANT = VIOLATOR_BOUND_CONSTANT  # former name, kept as an alias
 
 
 @dataclass(frozen=True)
@@ -246,14 +248,14 @@ def violator_bound_limit(
     d: Fraction | int,
     for_mark: bool = False,
 ) -> float:
-    """Scarcity ceiling on the violator count, with C = DEFAULT_BOUND_CONSTANT.
+    """Scarcity ceiling on the violator count, with C = VIOLATOR_BOUND_CONSTANT.
 
     Conservative strategies: C * (d+1) * ln(n) * n / c(n).
     Marking:                 C * (d+1) * ln(n) * n * exp(1 - c(n)/2).
     """
     d = float(Fraction(d))
     c_n = float(family.value(n))
-    base = DEFAULT_BOUND_CONSTANT * (d + 1) * math.log(n) * n
+    base = VIOLATOR_BOUND_CONSTANT * (d + 1) * math.log(n) * n
     if for_mark:
         return base * math.exp(1 - c_n / 2)
     return base / c_n

@@ -275,6 +275,16 @@ class TestOSErrors:
         assert proc.returncode == cli.BROKEN_PIPE
         assert proc.stderr == b""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["certify", "--k", "2"], ["simulate", "--k", "2", "--strategy", "lru"]],
+        ids=["certify", "simulate"],
+    )
+    def test_out_is_a_directory(self, capsys, trace_file, tmp_path, argv):
+        code, _, err = run_cli(capsys, *argv, "--trace", trace_file, "--out", str(tmp_path))
+        assert code == cli.DOMAIN_ERROR
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 LINES = st.builds(
     "{}{}".format,

@@ -1,13 +1,20 @@
 import dataclasses
 import hashlib
+import io
 import random
+import sys
+import threading
+import tracemalloc
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachecomp.dualcert import (
     CertificateError,
     DualSolution,
+    ServedEntry,
     _replay,
     check_feasibility,
     check_feasibility_fast,
@@ -16,7 +23,9 @@ from cachecomp.dualcert import (
     dual_cost,
     export_certificate,
     run_greedydual_certified,
+    served_at,
     served_b_sum,
+    write_certificate,
 )
 from cachecomp.offline import opt_flow
 from cachecomp.strategies import (
@@ -24,10 +33,12 @@ from cachecomp.strategies import (
     HIT,
     MAX_LOWER,
     MIN_LOWER,
+    MOVE,
     _greedydual,
     run_greedydual,
 )
 from cachecomp.trace import generate_random, parse_trace
+from test_reference_strategies import traces
 
 ABCA = parse_trace("a\nb\nc\na\n")
 POLICIES = (MAX_LOWER, MIN_LOWER)
@@ -251,13 +262,13 @@ class TestReplayChecks:
     def test_corrupted_input_rejected(self, text, k, corrupt, message):
         t = parse_trace(text)
         result, offsets = _greedydual(t, k, MAX_LOWER)
-        _replay(t, k, MAX_LOWER, result, offsets)  # the uncorrupted run passes
+        _replay(MAX_LOWER, result, offsets)  # the uncorrupted run passes
         events, bad = corrupt(list(result.events), offsets)
         # the log is expanded from the run's decisions, so a corrupted log
-        # comes in a stand-in result; _replay reads only its events
-        bad_result = types.SimpleNamespace(events=tuple(events))
+        # comes in a stand-in result; _replay reads only its events, trace and k
+        bad_result = types.SimpleNamespace(events=tuple(events), trace=t, k=k)
         with pytest.raises(CertificateError, match=message):
-            _replay(t, k, MAX_LOWER, bad_result, bad)
+            _replay(MAX_LOWER, bad_result, bad)
 
 
 class ThirdPartyChecker:
@@ -351,5 +362,127 @@ class TestExport:
     )
     def test_golden_certificate_bytes(self, nodes, length, wmax, seed, k, policy, digest):
         t = generate_random(nodes, length, wmax, seed=seed)
-        text = export_certificate(run_greedydual_certified(t, k, policy))
+        run = run_greedydual_certified(t, k, policy)
+        text = export_certificate(run)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        streamed = io.StringIO()
+        write_certificate(run, streamed)
+        assert streamed.getvalue() == text
+
+
+def reference_snapshots(run):
+    """The served multiset after each request, by its definition and kept
+    whole at every step: each placed node with its latest request i and
+    the latest request at which its server moved in (a miss), by i."""
+    placed: set[int] = set()
+    last: dict[int, int] = {}
+    moved: dict[int, int] = {}
+    snapshots = []
+    for idx, ev in enumerate(run.result.events, start=1):
+        v = run.result.trace.requests[idx - 1]
+        if ev.kind == MOVE:
+            placed.remove(ev.evicted)
+        if ev.kind != HIT:
+            moved[v] = idx
+        placed.add(v)
+        last[v] = idx
+        entries = (ServedEntry(last[u], moved[u]) for u in placed)
+        snapshots.append(tuple(sorted(entries, key=lambda e: e.i)))
+    return snapshots
+
+
+class TestServedWalk:
+    """The served multiset rebuilt on demand from the event log equals
+    per-step snapshots, in any order of queries and in the export."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(trace=traces(), k=st.integers(1, 8), policy=st.sampled_from(POLICIES),
+           data=st.data())
+    def test_matches_reference_snapshots(self, trace, k, policy, data):
+        run = run_greedydual_certified(trace, k, policy)
+        ref = reference_snapshots(run)
+        steps = list(range(len(ref)))
+        for s in steps + data.draw(st.permutations(steps)):  # in order, then back and forth
+            assert served_at(run, s) == ref[s]
+            rec = run.history[s]
+            assert served_b_sum(run, s) == rec.served_b_sum
+            shift = rec.raised - run.history[-1].raised
+            left = set(range(s + 2)) - {e.i for e in ref[s]} - ({0} if rec.zero_mult else set())
+            want_a = [run.dual.a[i] + shift if i in left else 0 for i in range(len(trace) + 1)]
+            assert list(dual_at_step(run, s).a) == want_a
+        s_fields = [line.rpartition(" S=")[2] for line in
+                    export_certificate(run).splitlines() if line.startswith("step ")]
+        for rec, entries, field in zip(run.history, ref, s_fields, strict=True):
+            zero = [f"0*{rec.zero_mult}"] if rec.zero_mult else []
+            assert field == ",".join(zero + [f"{e.i}:{e.moved}" for e in entries])
+
+    def test_threads_sharing_one_run(self):
+        """Queries from several threads move one shared walk; each still
+        sees the multiset of the step it asked for."""
+        run = run_greedydual_certified(generate_random(10, 300, 9, seed=43), 3)
+        ref = reference_snapshots(run)
+        failures = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(200):
+                    s = rng.randrange(len(ref))
+                    if served_at(run, s) != ref[s]:
+                        failures.append(s)
+            except Exception as exc:  # a thread's error would otherwise vanish
+                failures.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    def test_step_out_of_range(self):
+        run = run_greedydual_certified(ABCA, 2)
+        for step in (-1, 4):
+            with pytest.raises(ValueError):
+                served_at(run, step)
+            with pytest.raises(ValueError):
+                dual_at_step(run, step)
+
+
+class _CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def _certify_and_write_peak(trace, k):
+    tracemalloc.start()
+    try:
+        run = run_greedydual_certified(trace, k)
+        sink = _CountingSink()
+        write_certificate(run, sink)
+        return tracemalloc.get_traced_memory()[1], sink.chars
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_certified_run_and_export_are_o_n_plus_k(self):
+        """At fixed N, 32x more servers leave the traced peak of the
+        certified run plus its streamed export nearly unchanged, although
+        the certificate grows with k: no per-step copy of the served set."""
+        trace = generate_random(1024, 2000, 10, seed=41)
+        small_peak, small_chars = _certify_and_write_peak(trace, 8)
+        large_peak, large_chars = _certify_and_write_peak(trace, 256)
+        assert large_chars > 10 * small_chars
+        assert large_peak < 1.5 * small_peak, (small_peak, large_peak)

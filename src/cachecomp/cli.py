@@ -157,6 +157,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if not 1 <= h <= k:
         raise ValueError(f"need 1 <= h <= k, got h={h} k={k}")
     run = dualcert.run_greedydual_certified(trace, k, args.policy)
+    if args.out:  # before the summary, so a failed write prints no verdict
+        with open(args.out, "w", encoding="utf-8") as fp:
+            dualcert.write_certificate(run, fp)
     violations = dualcert.check_feasibility_fast(run.dual, trace)
     feasible = not violations
     bound_ok = dualcert.check_primal_dual_bound(run, h)
@@ -171,9 +174,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     print(f"bound {'PASS' if bound_ok else 'FAIL'}")
     verdict = feasible and bound_ok
     print(f"verdict {'PASS' if verdict else 'FAIL'}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            dualcert.write_certificate(run, fp)
     return 0 if verdict else CERT_FAILURE
 
 

@@ -2,8 +2,10 @@
 
 The k-phases tile the trace greedily from the left: each phase is the
 maximal substring requesting at most k distinct nodes, so every phase
-except possibly the last requests exactly k, and a flush-when-full run
-flushes exactly once per phase after the first.
+except possibly the last requests exactly k.  Flush-when-full flushes
+exactly at every phase boundary after the first, paying the weight of the
+phase that ends there, so ``strategies.run("fwf")`` is read off
+``partition``.
 
 Conventions that the downstream bounds depend on:
 
@@ -64,12 +66,15 @@ class PhasePartition:
     ``boundaries[i]`` is the 0-based start index of phase i; phases run to
     the next boundary (or trace end).  ``m[i-1]`` is the new-request count
     of phase i for i >= 1 (the first phase has none by definition).
+    ``weights[i]`` is the summed weight of the distinct nodes of phase i,
+    which is what flush-when-full pays when it flushes at the end of it.
     """
 
     k: int
     trace_length: int
     boundaries: tuple[int, ...]
     m: tuple[int, ...]
+    weights: tuple[int, ...]
 
     @property
     def num_phases(self) -> int:
@@ -101,27 +106,35 @@ class PhasePartition:
 
 
 def partition(trace: RequestTrace, k: int) -> PhasePartition:
-    """Decompose the trace into k-phases (greedy maximal substrings)."""
+    """Decompose the trace into k-phases (greedy maximal substrings),
+    keeping only the previous and the current phase's node sets."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    reqs = trace.requests
-    boundaries: list[int] = []
-    phase_sets: list[set[int]] = []
+    reqs, weights = trace.requests, trace.weights
+    boundaries = [0] if reqs else []
+    m: list[int] = []  # one per phase, the first phase's dropped at the end
+    phase_weights: list[int] = []
+    previous: set[int] = set()
     current: set[int] = set()
+    new = held = 0
     for i, v in enumerate(reqs):
-        if not boundaries:
-            boundaries.append(0)
-            phase_sets.append(current)
-        if v not in current and len(current) == k:
-            current = {v}
+        if v in current:
+            continue
+        if len(current) == k:
+            m.append(new)
+            phase_weights.append(held)
             boundaries.append(i)
-            phase_sets.append(current)
-        else:
-            current.add(v)
-    m = tuple(
-        len(phase_sets[i] - phase_sets[i - 1]) for i in range(1, len(phase_sets))
+            previous, current = current, set()
+            new = held = 0
+        current.add(v)
+        new += v not in previous
+        held += weights[v]
+    if reqs:
+        m.append(new)
+        phase_weights.append(held)
+    return PhasePartition(
+        k, len(reqs), tuple(boundaries), tuple(m[1:]), tuple(phase_weights)
     )
-    return PhasePartition(k, len(reqs), tuple(boundaries), m)
 
 
 def verify_phase_shrink(trace: RequestTrace, k: int) -> bool:

@@ -7,11 +7,13 @@ Costs are exact integers: the weight of each vacated node, so a flush
 pays for every node it unplaces.
 
 Each engine only decides: it walks the trace with O(1) or O(log k) work
-per request and records the paid decisions.  Sweeps read only the cost,
-so they never build a per-request log; ``SimulationResult.events`` is
-expanded from the decisions on first access.  A placed server is never
-unplaced except by a flush, which unplaces them all, so the lowest
-unplaced server id is always the number of servers placed.
+per request and records the paid decisions; flush-when-full, which
+flushes at every k-phase boundary after the first, is read off
+``phases.partition``.  Sweeps read only the cost, so they never build a
+per-request log; ``SimulationResult.events`` is expanded from the
+decisions on first access.  A placed server is never unplaced except by
+a flush, which unplaces them all, so the lowest unplaced server id is
+always the number of servers placed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .phases import partition
 from .trace import RequestTrace
 
 __all__ = [
@@ -166,25 +169,6 @@ def _run_recency(trace: RequestTrace, k: int, refresh: bool) -> list:
             paid.append((i, served.popitem(last=False)[0]))
         served[v] = None
     return paid
-
-
-def _run_fwf(trace: RequestTrace, k: int) -> tuple[list, int]:
-    """Flush-when-full: on a miss with every server placed, remove all
-    servers, paying the weight of every node they leave, then keep placing
-    for free.  Returns the decisions and their cost."""
-    weights = trace.weights
-    served: set[int] = set()
-    held = cost = 0  # held: summed weight of the served nodes
-    paid = []
-    for i, v in enumerate(trace.requests):
-        if v not in served:
-            if len(served) == k:
-                served.clear()
-                paid.append((i, None))
-                cost, held = cost + held, 0
-            served.add(v)
-            held += weights[v]
-    return paid, cost
 
 
 def _run_balance(trace: RequestTrace, k: int) -> list:
@@ -333,8 +317,9 @@ def run(
     if name in ("lru", "fifo"):
         paid = _run_recency(trace, k, refresh=name == "lru")
     elif name == "fwf":
-        paid, cost = _run_fwf(trace, k)
-        return SimulationResult(name, k, cost, tuple(paid), trace)
+        p = partition(trace, k)
+        paid = tuple((b, None) for b in p.boundaries[1:])
+        return SimulationResult(name, k, sum(p.weights[:-1]), paid, trace)
     elif name == "balance":
         paid = _run_balance(trace, k)
     elif name == "mark":

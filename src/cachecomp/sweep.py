@@ -35,11 +35,9 @@ __all__ = [
     "table_to_csv",
     "gnuplot_script",
     "VIOLATOR_BOUND_CONSTANT",
-    "DEFAULT_BOUND_CONSTANT",
 ]
 
 VIOLATOR_BOUND_CONSTANT = 8
-DEFAULT_BOUND_CONSTANT = VIOLATOR_BOUND_CONSTANT  # former name, kept as an alias
 
 
 @dataclass(frozen=True)

@@ -281,9 +281,11 @@ class TestOSErrors:
         ids=["certify", "simulate"],
     )
     def test_out_is_a_directory(self, capsys, trace_file, tmp_path, argv):
-        code, _, err = run_cli(capsys, *argv, "--trace", trace_file, "--out", str(tmp_path))
+        code, out, err = run_cli(capsys, *argv, "--trace", trace_file, "--out", str(tmp_path))
         assert code == cli.DOMAIN_ERROR
         assert err.startswith("error:") and "Traceback" not in err
+        if argv[0] == "certify":
+            assert out == ""  # no verdict is printed for a certificate never written
 
 
 LINES = st.builds(

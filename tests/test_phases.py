@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachecomp.offline import opt_flow
 from cachecomp.phases import (
@@ -14,8 +17,37 @@ from cachecomp.phases import (
 )
 from cachecomp.strategies import run
 from cachecomp.trace import generate_random, parse_trace
+from test_reference_strategies import traces
 
 ABCABD = parse_trace("a\nb\nc\na\nb\nd\n")
+
+
+def reference_partition(trace, k):
+    """The list-of-sets walk: every phase's node set is kept, and m is read
+    off consecutive sets afterwards."""
+    boundaries, phase_sets = [], []
+    current = set()
+    for i, v in enumerate(trace.requests):
+        if not boundaries:
+            boundaries.append(0)
+            phase_sets.append(current)
+        if v not in current and len(current) == k:
+            current = {v}
+            boundaries.append(i)
+            phase_sets.append(current)
+        else:
+            current.add(v)
+    m = tuple(len(b - a) for a, b in zip(phase_sets, phase_sets[1:]))
+    return tuple(boundaries), m
+
+
+def _partition_peak(trace, k):
+    tracemalloc.start()
+    try:
+        partition(trace, k)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPartition:
@@ -70,12 +102,35 @@ class TestPartition:
                 else:
                     assert len(prev | cur) >= len(prev) + p.m[i - 1]
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(trace=traces(), k=st.integers(1, 12))
+    def test_matches_list_of_sets_reference(self, trace, k):
+        p = partition(trace, k)
+        assert (p.boundaries, p.m) == reference_partition(trace, k)
+        slice_weights = tuple(
+            sum(trace.weights[v] for v in set(trace.requests[s:e]))
+            for s, e in p.phase_slices()
+        )
+        assert p.weights == slice_weights
+
     def test_new_request_opens_every_phase(self):
         rng = random.Random(2)
         for trial in range(30):
             t = generate_random(5, 100, 1, seed=trial)
             p = partition(t, rng.randint(1, 5))
             assert all(m_i >= 1 for m_i in p.m)
+
+
+class TestMemory:
+    def test_partition_state_is_o_k(self):
+        """Ten times the requests, and ten times the phases, leave the
+        traced peak of the walk nearly unchanged: it keeps two phases'
+        node sets, not one per phase."""
+        short = generate_random(5000, 4000, 1, seed=43)
+        long = generate_random(5000, 40000, 1, seed=43)
+        assert partition(long, 512).num_phases > 8 * partition(short, 512).num_phases
+        small_peak, large_peak = _partition_peak(short, 512), _partition_peak(long, 512)
+        assert large_peak < 2 * small_peak, (small_peak, large_peak)
 
 
 class TestPhaseShrink:
@@ -118,15 +173,15 @@ class TestHarmonic:
 class TestMarkUpperBound:
     def test_full_phase(self):
         # one phase of k new requests costs at most k
-        p = PhasePartition(3, 6, (0, 3), (3,))
+        p = PhasePartition(3, 6, (0, 3), (3,), (3, 3))
         assert mark_upper_bound(p) == 3
 
     def test_single_new_request(self):
-        p = PhasePartition(2, 4, (0, 2), (1,))
+        p = PhasePartition(2, 4, (0, 2), (1,), (2, 2))
         assert mark_upper_bound(p) == Fraction(3, 2)
 
     def test_no_phases_no_bound(self):
-        p = PhasePartition(2, 2, (0,), ())
+        p = PhasePartition(2, 2, (0,), (), (2,))
         assert mark_upper_bound(p) == 0
 
     def test_monte_carlo_mean_respects_bound(self):

@@ -103,10 +103,13 @@ def _load_trace(path: str) -> RequestTrace:
     return parse_trace(Path(path).read_text(encoding="utf-8"))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(summary: list[str], text: str | None, out: str | None) -> None:
+    """Write ``text`` to ``out`` before printing anything, so a failed
+    write leaves stdout empty; without ``out`` it follows the summary."""
+    if out and text is not None:
         Path(out).write_text(text, encoding="utf-8")
-    else:
+    sys.stdout.write("".join(line + "\n" for line in summary))
+    if not out and text is not None:
         sys.stdout.write(text)
 
 
@@ -114,15 +117,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
     spec = strategies.parse_strategy(args.strategy)
     result = strategies.run(spec, args.k, trace, seed=args.seed)
-    print(f"strategy {result.strategy}")
-    print(f"k {result.k}")
-    print(f"cost {result.total_cost}")
+    text = None
     if args.out or args.verbose:
         lines = ["index,node,kind,evicted,cost"]
         for e in result.events:
             evicted = trace.labels[e.evicted] if e.evicted is not None else ""
             lines.append(f"{e.index},{trace.labels[e.node]},{e.kind},{evicted},{e.cost}")
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    summary = [f"strategy {result.strategy}", f"k {result.k}", f"cost {result.total_cost}"]
+    _emit(summary, text, args.out)
     return 0
 
 
@@ -137,16 +140,16 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
     else:
         schedule = offline.opt_flow(trace, args.k)
         cost = schedule.cost
-    print(f"method {method}")
-    print(f"k {args.k}")
-    print(f"cost {cost}")
+    summary = [f"method {method}", f"k {args.k}", f"cost {cost}"]
+    text = None
     if (args.verbose or args.out) and schedule is not None:
         lines = ["request,predecessor"]
         for j in range(1, len(trace) + 1):
             lines.append(f"{j},{schedule.predecessor[j]}")
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     elif args.verbose and schedule is None:
-        print("(schedule only available with --opt flow)")
+        summary.append("(schedule only available with --opt flow)")
+    _emit(summary, text, args.out)
     return 0
 
 
@@ -180,18 +183,22 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_phases(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
     p = phases.partition(trace, args.k)
-    print(f"k {args.k}")
-    print(f"phases {len(p.boundaries)}")
-    print(f"num_phases {p.num_phases}")
     avenew = f"{p.avenew}" if p.avenew_defined else "undefined"
-    print(f"avenew {avenew}")
+    summary = [
+        f"k {args.k}",
+        f"phases {len(p.boundaries)}",
+        f"num_phases {p.num_phases}",
+        f"avenew {avenew}",
+    ]
+    text = None
     if args.out or args.verbose:
         lines = ["phase,start,end,distinct,new"]
         for i, (s, e) in enumerate(p.phase_slices()):
             distinct = len(set(trace.requests[s:e]))
             new = str(p.m[i - 1]) if i >= 1 else ""
             lines.append(f"{i + 1},{s},{e},{distinct},{new}")
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    _emit(summary, text, args.out)
     return 0
 
 
@@ -217,19 +224,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         mark_trials=args.trials,
         seed=args.seed,
     )
-    print(f"n {table.n}")
-    print(f"opt_method {table.opt_method}")
-    print(f"opt1 {table.opt1}")
+    summary = [f"n {table.n}", f"opt_method {table.opt_method}", f"opt1 {table.opt1}"]
     if family is not None:
         for name in table.strategies:
             rep = count_violators(table, name, family, d)
             ks = " ".join(str(k) for k in rep.ks)
-            print(f"violators {name} {rep.count}" + (f" [{ks}]" if ks else ""))
+            summary.append(f"violators {name} {rep.count}" + (f" [{ks}]" if ks else ""))
     csv_text = table_to_csv(table, family, d)
-    _emit(csv_text, args.out)
-    if args.gnuplot:
+    if args.gnuplot:  # --gnuplot requires --out: both files go before the summary
+        Path(args.out).write_text(csv_text, encoding="utf-8")
         script = gnuplot_script(args.out, len(trace), table.strategies)
         Path(args.out + ".gp").write_text(script, encoding="utf-8")
+        csv_text = None
+    _emit(summary, csv_text, args.out)
     return 0
 
 

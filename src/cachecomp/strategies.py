@@ -9,7 +9,12 @@ pays for every node it unplaces.
 Each engine only decides: it walks the trace with O(1) or O(log k) work
 per request and records the paid decisions; flush-when-full, which
 flushes at every k-phase boundary after the first, is read off
-``phases.partition``.  Sweeps read only the cost, so they never build a
+``phases.partition`` (``fwf_cost``).  Randomized marking is a phase
+stream and a replay: ``mark_stream`` records each k-phase's opening cache
+and first requests, and ``replay_mark`` draws one seed's evictions from
+it, so a sweep builds one stream per k for all its trials.  On unit
+weights ``lru_cost_profile`` gives LRU's cost for every k from one
+stack-distance pass.  Sweeps read only the cost, so they never build a
 per-request log; ``SimulationResult.events`` is expanded from the
 decisions on first access.  A placed server is never unplaced except by
 a flush, which unplaces them all, so the lowest unplaced server id is
@@ -25,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .phases import partition
+from .phases import PhasePartition, partition
 from .trace import RequestTrace
 
 __all__ = [
@@ -42,6 +47,10 @@ __all__ = [
     "parse_strategy",
     "run",
     "run_greedydual",
+    "lru_cost_profile",
+    "mark_stream",
+    "replay_mark",
+    "fwf_cost",
 ]
 
 HIT = "hit"
@@ -194,33 +203,102 @@ def _run_balance(trace: RequestTrace, k: int) -> list:
     return paid
 
 
-def _run_mark(trace: RequestTrace, k: int, seed: int) -> list:
-    """Randomized marking: evict uniformly among servers on nodes not yet
-    requested in the current k-phase.  Phases restart when a request would
-    bring the phase's distinct-node count past k.  The candidates are kept
-    sorted, rebuilt at each phase start, so ``randrange`` draws over the
-    same list as a sort at every miss would."""
-    rng = random.Random(seed)
-    served: set[int] = set()
-    marked: set[int] = set()  # requested in this phase, hence served
-    unmarked: list[int] = []  # sorted(served - marked)
-    paid = []
+def mark_stream(trace: RequestTrace, k: int) -> list:
+    """What randomized marking's decisions depend on, per k-phase after
+    the first: ``(nodes, firsts)``.  ``nodes`` is the sorted list of the
+    previous phase's nodes, which is exactly the cache when the phase
+    opens (the first phase fills it for free, and every later phase ends
+    with its k requested nodes served).  ``firsts`` holds the phase's
+    first request to each node as ``(index, node, stale)``, where stale
+    means the node was in the previous phase.  Each node list is that of
+    a full phase, which spans at least k requests, so the stream holds
+    O(N) entries."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    stream: list = []
+    previous: set[int] = set()
+    current: set[int] = set()
+    firsts: list | None = None  # None during the first phase
     for i, v in enumerate(trace.requests):
-        if v in marked:
+        if v in current:
             continue
-        if len(marked) == k:
-            marked = set()
-            unmarked = sorted(served)
-        if v in served:
-            del unmarked[bisect_left(unmarked, v)]
-        elif len(served) == k:
-            assert unmarked, "marking invariant: an unmarked served node exists"
-            u = unmarked.pop(rng.randrange(len(unmarked)))
-            served.remove(u)
-            paid.append((i, u))
-        served.add(v)
-        marked.add(v)
+        if len(current) == k:
+            previous, current, firsts = current, set(), []
+            stream.append((sorted(previous), firsts))
+        current.add(v)
+        if firsts is not None:
+            firsts.append((i, v, v in previous))
+    return stream
+
+
+def replay_mark(stream: list, seed: int) -> list:
+    """Randomized marking's paid decisions from ``mark_stream``: at a
+    miss, evict uniformly among the cached nodes not yet requested in the
+    current phase.  Those candidates start as the phase's opening cache
+    and lose each node as it is requested or evicted, so a stale request
+    hits exactly when its node is still a candidate and a new request
+    always misses.  The candidates stay sorted, so ``randrange`` draws
+    over the same list as a sort at every miss would; one stream serves
+    any number of seeds."""
+    randrange = random.Random(seed).randrange
+    paid = []
+    for nodes, firsts in stream:
+        candidates = nodes.copy()
+        for i, v, stale in firsts:
+            if stale:
+                j = bisect_left(candidates, v)
+                if j < len(candidates) and candidates[j] == v:
+                    del candidates[j]
+                    continue
+            paid.append((i, candidates.pop(randrange(len(candidates)))))
     return paid
+
+
+def lru_cost_profile(trace: RequestTrace, n: int) -> list[int]:
+    """LRU's cost for k = 1..n on a unit-weight trace, from one pass over
+    stack distances (Mattson, Gecsei, Slutz & Traiger 1970).  A request
+    hits under LRU with k servers iff fewer than k distinct nodes were
+    requested since its node's previous request.  A Fenwick tree over
+    request times, holding a 1 at each node's latest request, counts
+    those nodes in O(log N), so the pass takes O(N log N) time and O(N)
+    memory.  The first min(k, distinct) misses place servers for free."""
+    if not trace.is_paging:
+        raise ValueError("the LRU profile needs a unit-weight (paging) trace")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    size = len(trace.requests)
+    tree = [0] * (size + 1)
+    latest: dict[int, int] = {}  # node -> 1-based time of its latest request
+    between = [0] * (size + 1)  # [d]: reuses with d distinct nodes since the last
+    for t, v in enumerate(trace.requests, 1):
+        p = latest.get(v)
+        if p is not None:
+            earlier, j = 0, p
+            while j:
+                earlier += tree[j]
+                j &= j - 1
+            between[len(latest) - earlier] += 1
+            while p <= size:
+                tree[p] -= 1
+                p += p & -p
+        latest[v] = j = t
+        while j <= size:
+            tree[j] += 1
+            j += j & -j
+    distinct = len(latest)
+    missed = size - distinct  # reuses that miss with k servers
+    costs = []
+    for k in range(1, n + 1):
+        if k <= size:
+            missed -= between[k - 1]
+        costs.append(distinct + missed - min(k, distinct))
+    return costs
+
+
+def fwf_cost(p: PhasePartition) -> int:
+    """Flush-when-full's cost: it flushes at every phase boundary after
+    the first, paying the weight of the phase that ends there."""
+    return sum(p.weights[:-1])
 
 
 def run_greedydual(
@@ -319,11 +397,11 @@ def run(
     elif name == "fwf":
         p = partition(trace, k)
         paid = tuple((b, None) for b in p.boundaries[1:])
-        return SimulationResult(name, k, sum(p.weights[:-1]), paid, trace)
+        return SimulationResult(name, k, fwf_cost(p), paid, trace)
     elif name == "balance":
         paid = _run_balance(trace, k)
     elif name == "mark":
-        paid = _run_mark(trace, k, seed)
+        paid = replay_mark(mark_stream(trace, k), seed)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return _result(name, k, trace, paid)

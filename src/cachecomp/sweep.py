@@ -8,6 +8,16 @@ exponent d when X is simultaneously expensive and far from optimal:
 
 Zero-cost rows are never violators: zero is trivially optimal, and the
 criterion targets significant cost.  Ties count as violations.
+
+Rows share work instead of rerunning engines.  On unit weights LRU's
+costs for every k come from one stack-distance pass, and GreedyDual's
+relabel policies, which decide exactly as LRU and FIFO there, share
+those strategies' costs.  Flush-when-full is read off the row's phase
+partition, and marking builds one phase stream per k that every trial
+replays.  Rows with k at least the number of distinct requested nodes
+evict nothing, so they are filled with zeros and run nothing, not even
+Belady's optimum; the flow profile stops by itself once an extra server
+saves nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +29,16 @@ from fractions import Fraction
 
 from . import offline
 from .phases import partition
-from .strategies import DEFAULT_SEED, StrategySpec, parse_strategy, run
+from .strategies import (
+    DEFAULT_SEED,
+    StrategySpec,
+    fwf_cost,
+    lru_cost_profile,
+    mark_stream,
+    parse_strategy,
+    replay_mark,
+    run,
+)
 from .trace import RequestTrace
 
 __all__ = [
@@ -132,6 +151,23 @@ def _mark_trial_seed(seed: int, k: int, trial: int) -> int:
     return seed ^ mix
 
 
+def _mark_mean(
+    trace: RequestTrace, stream: list, k: int, seed: int, trials: int
+) -> tuple[Fraction, float]:
+    """Exact mean cost of ``trials`` marking runs replayed from one phase
+    stream, and its standard error (0 for a single trial)."""
+    weights = trace.weights
+    samples = [
+        sum(weights[u] for _, u in replay_mark(stream, _mark_trial_seed(seed, k, t)))
+        for t in range(trials)
+    ]
+    mean = Fraction(sum(samples), trials)
+    if trials == 1:
+        return mean, 0.0
+    var = sum((s - mean) ** 2 for s in samples) / (trials - 1)
+    return mean, math.sqrt(float(var) / trials)
+
+
 def sweep(
     trace: RequestTrace,
     strategies: list[StrategySpec | str],
@@ -146,8 +182,9 @@ def sweep(
     Deterministic for fixed arguments: the marking strategy's cost is the
     exact mean over ``mark_trials`` runs whose seeds derive from ``seed``,
     k, and the trial index only, so results are independent of evaluation
-    order.  The offline optima come first, so an infeasible method or a
-    trace over ``size_cap`` fails before any strategy runs.
+    order; the table equals running every strategy and trial on its own
+    for each k.  The offline optima come first, so an infeasible method or
+    a trace over ``size_cap`` fails before any strategy runs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -159,33 +196,48 @@ def sweep(
         raise ValueError("weights too large for a sweep's floating-point columns")
     specs = [parse_strategy(s) if isinstance(s, str) else s for s in strategies]
     method = offline.resolve_opt_method(trace, opt_method)
+    # with k >= the number of distinct requested nodes nothing is ever
+    # evicted, so only the rows k <= busy run anything
+    busy = max(min(n, trace.distinct_requested() - 1), 0)
     if method == "flow":
         opt_costs = offline.opt_flow_profile(trace, n, size_cap=size_cap)
     else:
-        opt_costs = [offline.opt_belady(trace, k) for k in range(1, n + 1)]
+        opt_costs = [offline.opt_belady(trace, k) for k in range(1, busy + 1)]
+    # on unit weights GreedyDual's relabel policies decide exactly as LRU
+    # and FIFO (see ``run_greedydual``), so each pair is computed once
+    alias = {"greedydual:max": "lru", "greedydual:min": "fifo"} if trace.is_paging else {}
+    keys = [alias.get(str(spec), str(spec)) for spec in specs]
+    lru_costs = None
+    if trace.is_paging and busy and "lru" in keys:
+        lru_costs = lru_cost_profile(trace, busy)
 
     rows = []
-    for k in range(1, n + 1):
+    for k in range(1, busy + 1):
         p = partition(trace, k)
+        stream = None
+        by_key: dict[str, int] = {}
         costs: dict[str, int | Fraction] = {}
         stderr: dict[str, float] = {}
-        for spec in specs:
+        for spec, key in zip(specs, keys):
             name = str(spec)
             if spec.name == "mark":
-                samples = [
-                    run(spec, k, trace, seed=_mark_trial_seed(seed, k, t)).total_cost
-                    for t in range(mark_trials)
-                ]
-                mean = Fraction(sum(samples), len(samples))
-                costs[name] = mean
-                if len(samples) > 1:
-                    var = sum((s - mean) ** 2 for s in samples) / (len(samples) - 1)
-                    stderr[name] = math.sqrt(float(var) / len(samples))
+                if stream is None:
+                    stream = mark_stream(trace, k)
+                costs[name], stderr[name] = _mark_mean(trace, stream, k, seed, mark_trials)
+                continue
+            if key not in by_key:
+                if key == "fwf":
+                    by_key[key] = fwf_cost(p)
+                elif key == "lru" and lru_costs is not None:
+                    by_key[key] = lru_costs[k - 1]
                 else:
-                    stderr[name] = 0.0
-            else:
-                costs[name] = run(spec, k, trace, seed=seed).total_cost
+                    by_key[key] = run(spec, k, trace, seed=seed).total_cost
+            costs[name] = by_key[key]
         rows.append(SweepRow(k, opt_costs[k - 1], p.num_phases, p.avenew, costs, stderr))
+    for k in range(busy + 1, n + 1):
+        costs = {str(spec): Fraction(0) if spec.name == "mark" else 0 for spec in specs}
+        stderr = {str(spec): 0.0 for spec in specs if spec.name == "mark"}
+        rows.append(SweepRow(k, 0, 0, Fraction(0), costs, stderr))
 
     return SweepTable(
         n=n,

@@ -277,15 +277,22 @@ class TestOSErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["certify", "--k", "2"], ["simulate", "--k", "2", "--strategy", "lru"]],
-        ids=["certify", "simulate"],
+        [
+            ["simulate", "--k", "2", "--strategy", "lru"],
+            ["optimal", "--k", "2", "--opt", "flow"],
+            ["certify", "--k", "2"],
+            ["phases", "--k", "2"],
+            ["sweep", "--n", "3", "--strategies", "lru,mark", "--c-family", "log:4"],
+            ["sweep", "--n", "3", "--strategies", "fwf", "--gnuplot"],
+        ],
+        ids=["simulate", "optimal", "certify", "phases", "sweep", "sweep-gnuplot"],
     )
     def test_out_is_a_directory(self, capsys, trace_file, tmp_path, argv):
         code, out, err = run_cli(capsys, *argv, "--trace", trace_file, "--out", str(tmp_path))
         assert code == cli.DOMAIN_ERROR
         assert err.startswith("error:") and "Traceback" not in err
-        if argv[0] == "certify":
-            assert out == ""  # no verdict is printed for a certificate never written
+        assert out == ""  # the file is written before any summary line
+        assert not (tmp_path.parent / (tmp_path.name + ".gp")).exists()
 
 
 LINES = st.builds(

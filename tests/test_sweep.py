@@ -1,14 +1,21 @@
+import importlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cachecomp import offline
 from cachecomp.offline import InstanceSizeError, opt_bruteforce, opt_flow
+from cachecomp.phases import partition
+from cachecomp.strategies import lru_cost_profile, parse_strategy, run
 from cachecomp.sweep import (
     RatioFamily,
     SweepRow,
     SweepTable,
+    _mark_trial_seed,
     count_violators,
     gnuplot_script,
     parse_family,
@@ -17,7 +24,9 @@ from cachecomp.sweep import (
     violator_bound_check,
     violator_bound_limit,
 )
-from cachecomp.trace import generate_cyclic, generate_random, parse_trace
+from cachecomp.trace import RequestTrace, generate_cyclic, generate_random, parse_trace
+
+sweep_module = importlib.import_module("cachecomp.sweep")
 
 ABCABD = parse_trace("a\nb\nc\na\nb\nd\n")
 
@@ -274,3 +283,132 @@ class TestCsvAndPlots:
         script = gnuplot_script("data.csv", 12, table.strategies)
         assert "title 'lru'" in script and "title 'fwf'" in script
         assert "competitiveness.png" in script and "faultrate.png" in script
+
+
+def reference_sweep(trace, strategies, n, opt_method="auto", mark_trials=100, seed=0):
+    """The sweep as a plain loop over k: every strategy and every marking
+    trial run on its own, every k, with no shared work."""
+    specs = [parse_strategy(s) for s in strategies]
+    method = offline.resolve_opt_method(trace, opt_method)
+    if method == "flow":
+        opt_costs = offline.opt_flow_profile(trace, n)
+    else:
+        opt_costs = [offline.opt_belady(trace, k) for k in range(1, n + 1)]
+    rows = []
+    for k in range(1, n + 1):
+        p = partition(trace, k)
+        costs, stderr = {}, {}
+        for spec in specs:
+            name = str(spec)
+            if spec.name == "mark":
+                samples = [
+                    run(spec, k, trace, seed=_mark_trial_seed(seed, k, t)).total_cost
+                    for t in range(mark_trials)
+                ]
+                mean = Fraction(sum(samples), len(samples))
+                costs[name] = mean
+                if len(samples) > 1:
+                    var = sum((s - mean) ** 2 for s in samples) / (len(samples) - 1)
+                    stderr[name] = math.sqrt(float(var) / len(samples))
+                else:
+                    stderr[name] = 0.0
+            else:
+                costs[name] = run(spec, k, trace, seed=seed).total_cost
+        rows.append(SweepRow(k, opt_costs[k - 1], p.num_phases, p.avenew, costs, stderr))
+    return SweepTable(
+        n, tuple(str(s) for s in specs), method, tuple(rows), offline.opt_single_server(trace)
+    )
+
+
+@st.composite
+def traces(draw, wmax=None):
+    nodes = draw(st.integers(1, 7))
+    wmax = wmax or draw(st.sampled_from([1, 1, 6]))
+    weights = draw(st.lists(st.integers(1, wmax), min_size=nodes, max_size=nodes))
+    requests = draw(st.lists(st.integers(0, nodes - 1), max_size=40))
+    return RequestTrace(tuple(requests), tuple(weights), tuple(f"n{i}" for i in range(nodes)))
+
+
+ALL_SPECS = ["lru", "fifo", "fwf", "balance", "mark", "greedydual:max", "greedydual:min"]
+
+
+class TestSharedWork:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(trace=traces(wmax=1), n=st.integers(1, 12))
+    def test_lru_profile_matches_runs(self, trace, n):
+        assert lru_cost_profile(trace, n) == [
+            run("lru", k, trace).total_cost for k in range(1, n + 1)
+        ]
+
+    def test_lru_profile_edges(self):
+        one = generate_random(1, 30, 1, seed=0)
+        assert lru_cost_profile(one, 4) == [0] * 4
+        assert lru_cost_profile(parse_trace(""), 3) == [0] * 3
+        cyclic = generate_cyclic(5, 50)
+        assert lru_cost_profile(cyclic, 7) == [
+            run("lru", k, cyclic).total_cost for k in range(1, 8)
+        ]
+        with pytest.raises(ValueError):
+            lru_cost_profile(generate_random(3, 10, 5, seed=0), 2)
+        with pytest.raises(ValueError):
+            lru_cost_profile(one, 0)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        trace=traces(),
+        n=st.integers(1, 9),
+        opt_method=st.sampled_from(["auto", "flow"]),
+        mark_trials=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**64),
+    )
+    def test_table_matches_per_k_loop(self, trace, n, opt_method, mark_trials, seed):
+        kwargs = dict(opt_method=opt_method, mark_trials=mark_trials, seed=seed)
+        got = sweep(trace, ALL_SPECS, n, **kwargs)
+        want = reference_sweep(trace, ALL_SPECS, n, **kwargs)
+        assert got == want
+        for row, ref in zip(got.rows, want.rows):
+            assert [type(c) for c in row.costs.values()] == [
+                type(c) for c in ref.costs.values()
+            ]
+        assert table_to_csv(got, parse_family("log:2"), 1) == table_to_csv(
+            want, parse_family("log:2"), 1
+        )
+
+    def test_swept_work_is_skipped(self, monkeypatch):
+        """Rows with k >= the distinct node count run nothing; LRU comes
+        from one profile, FWF from the row's partition, and marking from
+        one phase stream per k for all its trials."""
+        t = generate_cyclic(5, 60)
+        calls = {name: [] for name in ("run", "belady", "partition", "stream", "profile")}
+
+        def counted(name, fn, key):
+            def wrapper(*args, **kwargs):
+                calls[name].append(key(*args))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            sweep_module, "run", counted("run", run, lambda spec, k, trace: (str(spec), k))
+        )
+        monkeypatch.setattr(
+            offline, "opt_belady", counted("belady", offline.opt_belady, lambda trace, k: k)
+        )
+        for attr, name in (("partition", "partition"), ("mark_stream", "stream")):
+            fn = getattr(sweep_module, attr)
+            monkeypatch.setattr(sweep_module, attr, counted(name, fn, lambda trace, k: k))
+        monkeypatch.setattr(
+            sweep_module, "lru_cost_profile",
+            counted("profile", lru_cost_profile, lambda trace, n: n),
+        )
+        table = sweep(t, ["lru", "fifo", "fwf", "mark"], 12, mark_trials=3)
+        busy = [1, 2, 3, 4]
+        assert calls["run"] == [("fifo", k) for k in busy]
+        assert calls["belady"] == busy
+        assert calls["partition"] == busy
+        assert calls["stream"] == busy
+        assert calls["profile"] == [4]
+        for row in table.rows[4:]:
+            assert row.opt_cost == 0 and row.num_phases == 0 and row.avenew == 0
+            assert row.costs == {"lru": 0, "fifo": 0, "fwf": 0, "mark": 0}
+            assert type(row.costs["mark"]) is Fraction and row.stderr == {"mark": 0.0}

@@ -51,18 +51,16 @@ final value plus raised_s - R (``dual_at_step``, ``served_b_sum``).
 
 The served multiset is not kept per step.  Each event changes it by at
 most one removal and one insertion, so one O(N) walk of the event log
-rebuilds it step by step (``served_at``, ``served_b_sum``,
-``dual_at_step`` and the exporter share that walk).  The certified run
-therefore holds O(N + k) memory, and ``write_certificate`` streams the
-text certificate one line at a time.
+rebuilds it in request order (``served_steps``; ``served_b_sum`` and
+``dual_at_step`` take that step's multiset), and a run keeps no walk
+state.  The certified run therefore holds O(N + k) memory, and
+``write_certificate`` streams the text certificate one line at a time.
 """
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TextIO, TypeVar
 
 from .strategies import (
@@ -90,7 +88,7 @@ __all__ = [
     "check_feasibility_fast",
     "check_primal_dual_bound",
     "dual_at_step",
-    "served_at",
+    "served_steps",
     "served_b_sum",
     "export_certificate",
     "write_certificate",
@@ -139,7 +137,7 @@ class ServedEntry:
 class StepRecord:
     """State after one request: unplaced servers, cumulative raise, paid
     distance, and the served-set term of the certified bound.  The served
-    multiset itself is rebuilt on demand (``served_at``)."""
+    multiset itself is rebuilt in request order (``served_steps``)."""
 
     zero_mult: int
     raised: int
@@ -156,10 +154,6 @@ class CertifiedRun:
     relabel: str
     history: tuple[StepRecord, ...]
     relabels: tuple[tuple[int, int], ...]  # (1-based request, raise amount)
-
-    @cached_property
-    def _served_cursor(self) -> _ServedCursor:
-        return _ServedCursor(self.result)
 
 
 def _served_walk(
@@ -184,33 +178,6 @@ def _served_walk(
                 del served[ev.evicted], moved_at[ev.evicted]
         served[v] = entry(idx, moved_at[v])
         yield served
-
-
-class _ServedCursor:
-    """One walk of a run's served multiset, shared by the per-step
-    queries: stepping forward costs one event, stepping back restarts.
-    The lock keeps threads that query one run from moving it under each
-    other."""
-
-    def __init__(self, result: SimulationResult) -> None:
-        self._result = result
-        self._lock = threading.Lock()
-        self._rewind()
-
-    def _rewind(self) -> None:
-        self._walk = _served_walk(self._result, lambda i, moved: (i, moved))
-        self._step = -1
-        self._served: dict[int, tuple[int, int]] = {}
-
-    def at(self, step: int) -> tuple[tuple[int, int], ...]:
-        """The ``(i, moved)`` pairs of the served multiset after ``step``."""
-        with self._lock:
-            if step < self._step:
-                self._rewind()
-            while self._step < step:
-                self._served = next(self._walk)
-                self._step += 1
-            return tuple(self._served.values())
 
 
 def run_greedydual_certified(
@@ -420,59 +387,60 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
         cost <= k/(k-h+1) * dual_cost(h) - sum over served i of b[i'+1]
 
     evaluated exactly as (k-h+1)*cost <= k*dual_cost - (k-h+1)*sum(...).
+    The final served set comes from a fresh walk of the event log, not
+    from the replay's running sum.
     """
     k = run.result.k
     if not 1 <= h <= k:
         raise ValueError("need 1 <= h <= k")
     dc = dual_cost(run.dual, h)
     cost = run.result.total_cost
-    served_sum = served_b_sum(run, len(run.history) - 1) if run.history else 0
+    served: dict[int, tuple[int, int]] = {}
+    for served in _served_walk(run.result, lambda i, moved: (i, moved)):
+        pass  # one dict, updated in place: its last state is the final S
+    final = [ServedEntry(i, moved) for i, moved in served.values()]
+    served_sum = served_b_sum(run, len(run.history) - 1, final) if run.history else 0
     return (k - h + 1) * cost <= k * dc - (k - h + 1) * served_sum
 
 
-def served_at(run: CertifiedRun, step: int) -> tuple[ServedEntry, ...]:
-    """The served multiset after request ``step`` (0-based), ordered by
-    request; the unplaced servers are ``run.history[step].zero_mult``.
-    Rebuilt from the event log by a walk kept with the run, so visiting
-    the steps in order costs O(k) per step."""
-    return tuple(ServedEntry(i, moved) for i, moved in _served_pairs(run, step))
+def served_steps(run: CertifiedRun) -> Iterator[tuple[ServedEntry, ...]]:
+    """The served multiset after each request, in request order, each
+    ordered by request; the unplaced servers after step s are
+    ``run.history[s].zero_mult``.  One walk of the event log, O(k) per step."""
+    for served in _served_walk(run.result, ServedEntry):
+        yield tuple(served.values())
 
 
-def _served_pairs(run: CertifiedRun, step: int) -> tuple[tuple[int, int], ...]:
+def _record(run: CertifiedRun, step: int) -> StepRecord:
     if not 0 <= step < len(run.history):
         raise ValueError("step out of range")
-    return run._served_cursor.at(step)
+    return run.history[step]
 
 
-def served_b_sum(run: CertifiedRun, step: int) -> int:
+def served_b_sum(run: CertifiedRun, step: int, served: Iterable[ServedEntry]) -> int:
     """Recompute, from raw records, the served-set term sum over S of
-    b[moved+1] as of ``step`` (0-based); cross-checks the running value."""
-    rec = run.history[step]
-    n = run.dual.n
-    shift = rec.raised - run.history[-1].raised
-
-    def b_at_step(j: int) -> int:
-        if j > n or j > step + 1:
-            return 0
-        return run.dual.b[j] + shift
-
-    total = rec.zero_mult * b_at_step(1)
-    for _, moved in _served_pairs(run, step):
-        total += b_at_step(moved + 1)
-    return total
+    b[moved+1] as of ``step`` (0-based), given that step's item of
+    ``served_steps``; cross-checks the running value."""
+    rec = _record(run, step)
+    b, shift = run.dual.b, rec.raised - run.history[-1].raised
+    total = rec.zero_mult * (b[1] + shift)
+    # a server that moved at this request points at b[step+2], not yet defined: 0
+    return total + sum(b[e.moved + 1] + shift for e in served if e.moved <= step)
 
 
-def dual_at_step(run: CertifiedRun, step: int) -> DualSolution:
+def dual_at_step(
+    run: CertifiedRun, step: int, served: Iterable[ServedEntry]
+) -> DualSolution:
     """The dual solution as it stood after processing request ``step``
-    (0-based): b[j] for the requests seen so far and a[i] for those that
-    have left S, each its final value shifted down by the raise still to
-    come; zeros elsewhere."""
+    (0-based), given that step's item of ``served_steps``: b[j] for the
+    requests seen so far and a[i] for those that have left S, each its
+    final value shifted down by the raise still to come; zeros elsewhere."""
+    rec = _record(run, step)
     n = run.dual.n
-    in_s = {i for i, _ in _served_pairs(run, step)}
-    rec = run.history[step]
+    in_s = {e.i for e in served}
     shift = rec.raised - run.history[-1].raised
     a, b = [0] * (n + 1), [0] * (n + 1)
-    for j in range(1, min(step + 1, n) + 1):
+    for j in range(1, step + 2):
         b[j] = run.dual.b[j] + shift
     if rec.zero_mult:
         in_s.add(0)  # request 0 holds the unplaced servers

@@ -206,15 +206,14 @@ class _IntervalFlow:
         g.seed_potentials()
 
     def profile(self) -> list[int]:
-        """[OPT(1), ..., OPT(k)]: one augmentation per extra server until
-        one saves nothing, then the last value repeated."""
+        """[OPT(1), ..., OPT(j)], j <= k: one augmentation per extra server
+        until one saves nothing; OPT keeps the last value from there to k."""
         profile = [self.base]
         while len(profile) < self.k:
             saving = self.g.send_unit(0, self.n)
             if saving == 0:
                 break
             profile.append(profile[-1] + saving)
-        profile += [profile[-1]] * (self.k - len(profile))
         return profile
 
     def decode(self) -> tuple[int, ...]:
@@ -229,7 +228,8 @@ class _IntervalFlow:
             hands_on[i] = aid is None or g.flow_on(aid) == 1
             if hands_on[i] and nxt[i] <= n:
                 pred[nxt[i]] = i
-        pool: deque[int] = deque([0] * self.k)
+        # at most n draws, so min(k, n) initial placements draw as k would
+        pool: deque[int] = deque([0] * min(self.k, n))
         for j in range(1, n + 1):
             if pred[j] < 0:
                 pred[j] = pool.popleft()
@@ -274,7 +274,8 @@ def opt_flow_profile(
     trace: RequestTrace, k: int, size_cap: int = DEFAULT_FLOW_CAP
 ) -> list[int]:
     """[OPT(1), OPT(2), ..., OPT(k)] from one incremental flow solve."""
-    return _interval_flow(trace, k, size_cap).profile()
+    profile = _interval_flow(trace, k, size_cap).profile()
+    return profile + [profile[-1]] * (k - len(profile))
 
 
 def opt_belady(trace: RequestTrace, k: int) -> int:

@@ -23,6 +23,7 @@ Conventions that the downstream bounds depend on:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ __all__ = [
 EXACT_HARMONIC_LIMIT = 10_000
 
 _harmonic_cache: list[Fraction] = [Fraction(0)]
+_harmonic_lock = threading.Lock()  # each entry extends the one before it
 
 
 def harmonic(n: int) -> Fraction | float:
@@ -51,9 +53,11 @@ def harmonic(n: int) -> Fraction | float:
     if n < 0:
         raise ValueError("n must be >= 0")
     if n <= EXACT_HARMONIC_LIMIT:
-        while len(_harmonic_cache) <= n:
-            m = len(_harmonic_cache)
-            _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, m))
+        if n >= len(_harmonic_cache):
+            with _harmonic_lock:
+                while len(_harmonic_cache) <= n:
+                    m = len(_harmonic_cache)
+                    _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, m))
         return _harmonic_cache[n]
     euler_gamma = 0.5772156649015329
     return math.log(n) + euler_gamma + 1 / (2 * n) - 1 / (12 * n * n)

@@ -87,8 +87,9 @@ class Event:
 @dataclass(frozen=True)
 class SimulationResult:
     """A run: its cost and paid decisions, ``(request index, evicted node)``
-    per move and ``(index, None)`` per flush.  The event log and the final
-    placement are expanded from these on first access."""
+    per move and ``(index, None)`` per flush.  The event log is expanded
+    from these on first access, and the final placement from the log, so
+    neither costs O(k) unless the placement is read."""
 
     strategy: str
     k: int
@@ -97,44 +98,47 @@ class SimulationResult:
     trace: RequestTrace = field(repr=False)
 
     @cached_property
-    def _expanded(self) -> tuple[tuple[Event, ...], tuple[int | None, ...]]:
-        weights, k = self.trace.weights, self.k
-        where: dict[int, int] = {}  # node -> server id
-        node_of: list[int | None] = [None] * k
+    def events(self) -> tuple[Event, ...]:
+        """One event per request, plus a free event after each flush."""
+        weights = self.trace.weights
+        served: set[int] = set()
         events: list[Event] = []
         decisions = iter(self.paid)
         due, evicted = next(decisions, (-1, None))
         for i, v in enumerate(self.trace.requests):
-            if v in where:
+            if v in served:
                 events.append(Event(i, v, HIT))
                 continue
             if i == due:
                 u = evicted
                 due, evicted = next(decisions, (-1, None))
                 if u is not None:
-                    s = where[v] = where.pop(u)
-                    node_of[s] = v
+                    served.remove(u)
+                    served.add(v)
                     events.append(Event(i, v, MOVE, evicted=u, cost=weights[u]))
                     continue
-                cost = sum(weights[u] for u in where)
+                cost = sum(weights[u] for u in served)
                 events.append(Event(i, v, FLUSH, cost=cost))
-                where.clear()
-                node_of = [None] * k
-            s = len(where)
-            node_of[s] = v
-            where[v] = s
+                served.clear()
+            served.add(v)
             events.append(Event(i, v, FREE))
-        return tuple(events), tuple(node_of)
+        return tuple(events)
 
-    @property
-    def events(self) -> tuple[Event, ...]:
-        """One event per request, plus a free event after each flush."""
-        return self._expanded[0]
-
-    @property
+    @cached_property
     def final_nodes(self) -> tuple[int | None, ...]:
         """Node per server id; None = never placed (or flushed, not refilled)."""
-        return self._expanded[1]
+        where: dict[int, int] = {}  # node -> server id
+        for e in self.events:
+            if e.kind == FREE:
+                where[e.node] = len(where)
+            elif e.kind == MOVE:
+                where[e.node] = where.pop(e.evicted)
+            elif e.kind == FLUSH:
+                where.clear()
+        node_of: list[int | None] = [None] * self.k
+        for v, s in where.items():
+            node_of[s] = v
+        return tuple(node_of)
 
 
 @dataclass(frozen=True)

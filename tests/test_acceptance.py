@@ -23,6 +23,7 @@ from cachecomp.dualcert import (
     dual_cost,
     run_greedydual_certified,
     served_b_sum,
+    served_steps,
 )
 from cachecomp.offline import (
     opt_belady,
@@ -31,7 +32,14 @@ from cachecomp.offline import (
     opt_flow_profile,
 )
 from cachecomp.phases import mark_upper_bound, partition, verify_phase_shrink
-from cachecomp.strategies import MAX_LOWER, MIN_LOWER, run, run_greedydual
+from cachecomp.strategies import (
+    MAX_LOWER,
+    MIN_LOWER,
+    mark_stream,
+    replay_mark,
+    run,
+    run_greedydual,
+)
 from cachecomp.sweep import (
     count_violators,
     parse_family,
@@ -71,15 +79,16 @@ def test_c02_primal_dual_bound(corpus, certified_runs, opt_profiles):
         k = member.k
         sampler = random.Random(member.idx)
         sampled = {sampler.randrange(len(cert.history)) for _ in range(5)} if cert.history else set()
-        for s, rec in enumerate(cert.history):
-            assert rec.served_b_sum == served_b_sum(cert, s)
+        walk = zip(cert.history, served_steps(cert), strict=True)
+        for s, (rec, served) in enumerate(walk):
+            assert rec.served_b_sum == served_b_sum(cert, s, served)
             for h in range(1, k + 1):
                 step_dual_cost = (k - h + 1) * rec.raised
                 lhs = (k - h + 1) * rec.distance
                 assert lhs <= k * step_dual_cost - (k - h + 1) * rec.served_b_sum
                 checked_steps += 1
             if s in sampled:
-                snapshot = dual_at_step(cert, s)
+                snapshot = dual_at_step(cert, s, served)
                 for h in range(1, k + 1):
                     assert dual_cost(snapshot, h) == (k - h + 1) * rec.raised
         for h in range(1, k + 1):
@@ -196,7 +205,9 @@ def test_c07_conservative_bounds(corpus, opt_profiles):
 def test_c08_mark_upper_bound(corpus):
     """On 30 unit-weight corpus traces with phase structure, the mean of
     1000 seeded marking runs stays within the harmonic-sum ceiling plus
-    three standard errors.  Runtime target: under 5 minutes."""
+    three standard errors.  Each trace's phase stream is built once and
+    replayed per seed, as ``run("mark", ...)`` does for one seed.  Runtime
+    target: under 5 minutes."""
     start = time.time()
     members = [
         m
@@ -208,9 +219,10 @@ def test_c08_mark_upper_bound(corpus):
     for member in members:
         p = partition(member.trace, member.k)
         bound = mark_upper_bound(p)
+        stream = mark_stream(member.trace, member.k)
+        weights = member.trace.weights
         costs = [
-            run("mark", member.k, member.trace, seed=s).total_cost
-            for s in range(trials)
+            sum(weights[u] for _, u in replay_mark(stream, s)) for s in range(trials)
         ]
         mean = sum(costs) / trials
         var = sum((c - mean) ** 2 for c in costs) / (trials - 1)

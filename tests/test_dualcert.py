@@ -2,8 +2,6 @@ import dataclasses
 import hashlib
 import io
 import random
-import sys
-import threading
 import tracemalloc
 import types
 
@@ -23,8 +21,8 @@ from cachecomp.dualcert import (
     dual_cost,
     export_certificate,
     run_greedydual_certified,
-    served_at,
     served_b_sum,
+    served_steps,
     write_certificate,
 )
 from cachecomp.offline import opt_flow
@@ -187,11 +185,11 @@ class TestCertifiedRun:
             if len(t) > 30:
                 continue
             run = run_greedydual_certified(t, k, policy)
-            for s in range(len(run.history)):
-                snapshot = dual_at_step(run, s)
+            for s, served in enumerate(served_steps(run)):
+                snapshot = dual_at_step(run, s, served)
                 assert check_feasibility(snapshot, t) == []
                 rec = run.history[s]
-                assert rec.served_b_sum == served_b_sum(run, s)
+                assert rec.served_b_sum == served_b_sum(run, s, served)
                 assert rec.distance <= k * rec.raised - rec.served_b_sum
 
     def test_weak_duality_and_ratio(self):
@@ -204,6 +202,22 @@ class TestCertifiedRun:
                 assert dual_cost(run.dual, h) <= opt_h
                 assert (k - h + 1) * run.result.total_cost <= k * opt_h
                 assert check_primal_dual_bound(run, h)
+
+    def test_bound_threshold_is_exact(self):
+        """The final served term is recomputed, not read off the replay, and
+        equals the replay's: the largest cost the bound accepts is exactly
+        the one that term allows."""
+        rng = random.Random(31)
+        for trial in range(20):
+            t, k, policy = random_case(trial, rng)
+            run = run_greedydual_certified(t, k, policy)
+            for h in range(1, k + 1):
+                c = k - h + 1
+                top = (k * dual_cost(run.dual, h) - c * run.history[-1].served_b_sum) // c
+                for cost, holds in ((top, True), (top + 1, False)):
+                    result = dataclasses.replace(run.result, total_cost=cost)
+                    tampered = dataclasses.replace(run, result=result)
+                    assert check_primal_dual_bound(tampered, h) is holds
 
     def test_bound_h_range_validated(self):
         run = run_greedydual_certified(ABCA, 2)
@@ -392,67 +406,50 @@ def reference_snapshots(run):
 
 
 class TestServedWalk:
-    """The served multiset rebuilt on demand from the event log equals
-    per-step snapshots, in any order of queries and in the export."""
+    """The served multiset rebuilt from the event log in request order
+    equals per-step snapshots, in ``served_steps`` and in the export."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @given(trace=traces(), k=st.integers(1, 8), policy=st.sampled_from(POLICIES),
-           data=st.data())
-    def test_matches_reference_snapshots(self, trace, k, policy, data):
+    @given(trace=traces(), k=st.integers(1, 8), policy=st.sampled_from(POLICIES))
+    def test_matches_reference_snapshots(self, trace, k, policy):
         run = run_greedydual_certified(trace, k, policy)
         ref = reference_snapshots(run)
-        steps = list(range(len(ref)))
-        for s in steps + data.draw(st.permutations(steps)):  # in order, then back and forth
-            assert served_at(run, s) == ref[s]
+        walked = list(served_steps(run))  # every item kept: each is its own snapshot
+        assert walked == ref
+        for s, served in enumerate(walked):
             rec = run.history[s]
-            assert served_b_sum(run, s) == rec.served_b_sum
+            assert served_b_sum(run, s, served) == rec.served_b_sum
             shift = rec.raised - run.history[-1].raised
             left = set(range(s + 2)) - {e.i for e in ref[s]} - ({0} if rec.zero_mult else set())
             want_a = [run.dual.a[i] + shift if i in left else 0 for i in range(len(trace) + 1)]
-            assert list(dual_at_step(run, s).a) == want_a
+            want_b = [run.dual.b[j] + shift if 1 <= j <= s + 1 else 0 for j in range(len(trace) + 1)]
+            snapshot = dual_at_step(run, s, served)
+            assert (list(snapshot.a), list(snapshot.b)) == (want_a, want_b)
         s_fields = [line.rpartition(" S=")[2] for line in
                     export_certificate(run).splitlines() if line.startswith("step ")]
         for rec, entries, field in zip(run.history, ref, s_fields, strict=True):
             zero = [f"0*{rec.zero_mult}"] if rec.zero_mult else []
             assert field == ",".join(zero + [f"{e.i}:{e.moved}" for e in entries])
 
-    def test_threads_sharing_one_run(self):
-        """Queries from several threads move one shared walk; each still
-        sees the multiset of the step it asked for."""
-        run = run_greedydual_certified(generate_random(10, 300, 9, seed=43), 3)
-        ref = reference_snapshots(run)
-        failures = []
-
-        def worker(seed):
-            rng = random.Random(seed)
-            try:
-                for _ in range(200):
-                    s = rng.randrange(len(ref))
-                    if served_at(run, s) != ref[s]:
-                        failures.append(s)
-            except Exception as exc:  # a thread's error would otherwise vanish
-                failures.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert failures == []
-
     def test_step_out_of_range(self):
         run = run_greedydual_certified(ABCA, 2)
+        last = list(served_steps(run))[-1]
         for step in (-1, 4):
             with pytest.raises(ValueError):
-                served_at(run, step)
+                served_b_sum(run, step, last)
             with pytest.raises(ValueError):
-                dual_at_step(run, step)
+                dual_at_step(run, step, last)
+
+    def test_run_holds_only_its_fields(self):
+        """Walking, querying, bounding and exporting leave no state on the
+        run: it stays plain data."""
+        run = run_greedydual_certified(generate_random(10, 300, 9, seed=43), 3)
+        for s, served in enumerate(served_steps(run)):
+            served_b_sum(run, s, served)
+            dual_at_step(run, s, served)
+        assert check_primal_dual_bound(run, 2)
+        write_certificate(run, io.StringIO())
+        assert vars(run).keys() == {f.name for f in dataclasses.fields(run)}
 
 
 class _CountingSink:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cachecomp import phases
 from cachecomp.offline import opt_flow
 from cachecomp.phases import (
     PhasePartition,
@@ -168,6 +171,35 @@ class TestHarmonic:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             harmonic(-1)
+
+    def test_threads_extending_the_cache(self, monkeypatch):
+        """Threads that extend an empty cache at once each see, and leave,
+        the exact partial sums."""
+        want = [Fraction(0)]
+        for m in range(1, 301):
+            want.append(want[-1] + Fraction(1, m))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(phases, "_harmonic_cache", [Fraction(0)])
+                start = threading.Barrier(4)
+                seen = []
+
+                def worker():
+                    start.wait()
+                    seen.append(harmonic(300))
+
+                threads = [threading.Thread(target=worker) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert seen == [want[300]] * 4
+                assert phases._harmonic_cache == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMarkUpperBound:

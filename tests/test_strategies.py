@@ -2,10 +2,12 @@ import contextlib
 import hashlib
 import io
 import random
+import tracemalloc
 
 import pytest
 
 from cachecomp import cli
+from cachecomp.dualcert import run_greedydual_certified
 from cachecomp.offline import opt_bruteforce, opt_flow, opt_single_server
 from cachecomp.strategies import (
     FLUSH,
@@ -258,6 +260,34 @@ class TestResultInvariants:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             run("lru", 0, ABCA)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda t, k: run("lru", k, t).events,
+            run_greedydual_certified,
+            opt_flow,
+        ],
+        ids=["events", "certified", "opt_flow"],
+    )
+    def test_no_o_k_state_beyond_distinct_nodes(self, fn):
+        """On a 6-request trace, 10^6 servers cost no more memory than 10:
+        nothing k-long is built that the trace cannot fill."""
+        t = parse_trace("a\nb\nc\na\nd\nb\n")
+        small = _traced_peak(fn, t, 10)
+        large = _traced_peak(fn, t, 10**6)
+        assert large < 2 * small, (small, large)
 
 
 class TestCompetitiveSpotCheck:

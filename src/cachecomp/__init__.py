@@ -25,6 +25,7 @@ from .offline import (
     opt_bruteforce,
     opt_flow,
     opt_flow_profile,
+    opt_paging_profile,
     opt_single_server,
 )
 from .phases import (
@@ -96,6 +97,7 @@ __all__ = [
     "opt_bruteforce",
     "opt_flow",
     "opt_flow_profile",
+    "opt_paging_profile",
     "opt_phase_lower_bound",
     "opt_single_server",
     "parse_family",

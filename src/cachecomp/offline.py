@@ -37,6 +37,12 @@ server is not handed on returns it to the pool once served.  At most h-1
 kept intervals cover a request, so the pool is never empty when drawn
 from, and each dropped interval is paid at most once, so the schedule
 costs exactly OPT(h).
+
+On unit weights OPT/MIN is a stack algorithm (Mattson, Gecsei, Slutz and
+Traiger 1970): the cache with k servers is the top k of one stack kept
+in next-use order, so ``opt_paging_profile`` reads OPT(1..n) off one
+pass as OPT(k) = N - hits(depth <= k) - min(k, distinct).  ``opt_belady``
+(farthest in future) computes one k, and is the profile's test oracle.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ __all__ = [
     "opt_flow",
     "opt_flow_profile",
     "opt_belady",
+    "opt_paging_profile",
     "opt_bruteforce",
     "opt_single_server",
     "OPT_METHODS",
@@ -251,11 +258,14 @@ def _interval_flow(trace: RequestTrace, k: int, size_cap: int) -> _IntervalFlow:
 
 def resolve_opt_method(trace: RequestTrace, method: str) -> str:
     """The solver behind ``method``: ``auto`` is belady on unit weights and
-    flow otherwise.  ``opt_belady`` itself rejects weighted traces."""
+    flow otherwise.  Belady on a weighted trace is rejected here, before
+    any solver runs, so a caller that skips the solve still rejects it."""
     if method not in OPT_METHODS:
         raise ValueError(f"unknown opt method {method!r}")
     if method == "auto":
         return "belady" if trace.is_paging else "flow"
+    if method == "belady" and not trace.is_paging:
+        raise ValueError("belady requires a unit-weight (paging) trace")
     return method
 
 
@@ -313,6 +323,74 @@ def opt_belady(trace: RequestTrace, k: int) -> int:
         upcoming[v] = nxt[i]
         heapq.heappush(heap, (-nxt[i], v))
     return cost
+
+
+def opt_paging_profile(trace: RequestTrace, n: int) -> list[int]:
+    """[OPT(1), ..., OPT(n)] on a unit-weight trace from one OPT-stack
+    pass (Mattson, Gecsei, Slutz & Traiger 1970): OPT/MIN is a stack
+    algorithm, so the cache with k servers is the top k of one stack.
+
+    A node's priority is its next-use time, or N + i for a node whose
+    last request is i, so no two nodes tie.  A reference at depth d hits
+    for every k >= d.  The requested node goes to the top, and the old top
+    is carried down positions 1..d-1: at each one, whichever of the two
+    nodes is used later moves on, and the carried node lands at d (on a
+    miss, at the bottom, or off the stack once it holds n nodes).  The top
+    n positions never depend on the ones below, so truncating at n is
+    exact for every k <= n, and the stack and the hit counters hold
+    min(n, distinct) entries.  The first min(k, distinct) misses place
+    servers for free, so
+
+        OPT(k) = N - hits(depth <= k) - min(k, distinct).
+
+    O(N·min(n, distinct)) time in the worst case; equals ``opt_belady``
+    for every k.
+    """
+    if not trace.is_paging:
+        raise ValueError("the OPT profile needs a unit-weight (paging) trace")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    reqs = trace.requests
+    size = len(reqs)
+    nxt = [0] * size  # priority after each request: its node's next use
+    last_seen: dict[int, int] = {}
+    for i in range(size - 1, -1, -1):
+        v = reqs[i]
+        nxt[i] = last_seen.get(v, size + i)
+        last_seen[v] = i
+    distinct = len(last_seen)
+    depth_cap = min(n, distinct)
+    prio = [0] * len(trace.weights)
+    held = bytearray(len(trace.weights))  # 1 = on the truncated stack
+    stack: list[int] = []  # top first
+    hits = [0] * (depth_cap + 1)  # [d]: references that hit at depth d
+    for i, v in enumerate(reqs):
+        if held[v]:
+            d = stack.index(v)
+            hits[d + 1] += 1
+        else:
+            d = len(stack)
+            held[v] = 1
+            stack.append(v)
+        if d:
+            carried = stack[0]
+            later = prio[carried]
+            stack[0] = v
+            for j in range(1, d):
+                u = stack[j]
+                if prio[u] > later:
+                    stack[j] = carried
+                    carried, later = u, prio[u]
+            stack[d] = carried
+            if d == depth_cap:
+                held[stack.pop()] = 0
+        prio[v] = nxt[i]
+    costs = [size - sum(hits) - distinct] * n  # k >= distinct: every reuse hits
+    hit = 0
+    for k in range(1, depth_cap + 1):
+        hit += hits[k]
+        costs[k - 1] = size - hit - k
+    return costs
 
 
 def opt_bruteforce(trace: RequestTrace, k: int) -> int:

@@ -241,20 +241,34 @@ def replay_mark(stream: list, seed: int) -> list:
     current phase.  Those candidates start as the phase's opening cache
     and lose each node as it is requested or evicted, so a stale request
     hits exactly when its node is still a candidate and a new request
-    always misses.  The candidates stay sorted, so ``randrange`` draws
-    over the same list as a sort at every miss would; one stream serves
-    any number of seeds."""
-    randrange = random.Random(seed).randrange
+    always misses.  The candidates stay sorted, so each draw is over the
+    same list as a sort at every miss would give; one stream serves any
+    number of seeds.
+
+    A draw is ``Random(seed).randrange(m)`` for m candidates, inlined as
+    the rejection loop CPython 3.11 runs for it (``_randbelow``): take
+    ``m.bit_length()`` random bits until they fall below m.  If a later
+    CPython changes ``randrange``, the draw-equivalence test in
+    ``test_strategies`` shows it; if it changes ``getrandbits``, the output
+    pins show it too."""
+    getrandbits = random.Random(seed).getrandbits
     paid = []
     for nodes, firsts in stream:
         candidates = nodes.copy()
         for i, v, stale in firsts:
+            m = len(candidates)
             if stale:
                 j = bisect_left(candidates, v)
-                if j < len(candidates) and candidates[j] == v:
+                if j < m and candidates[j] == v:
                     del candidates[j]
                     continue
-            paid.append((i, candidates.pop(randrange(len(candidates)))))
+            if not m:  # randrange(0) raises; the loop below would spin
+                raise ValueError("a miss with no candidate: not a mark_stream phase")
+            b = m.bit_length()
+            r = getrandbits(b)
+            while r >= m:
+                r = getrandbits(b)
+            paid.append((i, candidates.pop(r)))
     return paid
 
 

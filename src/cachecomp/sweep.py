@@ -9,15 +9,18 @@ exponent d when X is simultaneously expensive and far from optimal:
 Zero-cost rows are never violators: zero is trivially optimal, and the
 criterion targets significant cost.  Ties count as violations.
 
-Rows share work instead of rerunning engines.  On unit weights LRU's
-costs for every k come from one stack-distance pass, and GreedyDual's
-relabel policies, which decide exactly as LRU and FIFO there, share
-those strategies' costs.  Flush-when-full is read off the row's phase
-partition, and marking builds one phase stream per k that every trial
-replays.  Rows with k at least the number of distinct requested nodes
-evict nothing, so they are filled with zeros and run nothing, not even
-Belady's optimum; the flow profile stops by itself once an extra server
-saves nothing.
+Rows share work instead of rerunning engines.  On unit weights OPT and
+LRU are stack algorithms (Mattson, Gecsei, Slutz & Traiger 1970), so
+each one's cost for every k comes from one pass: an OPT stack ordered by
+next use (``offline.opt_paging_profile``, with
+OPT(k) = N - hits(depth <= k) - min(k, distinct)) and LRU's stack
+distances.  GreedyDual's relabel policies, which decide exactly as LRU
+and FIFO there, share those strategies' costs.  Flush-when-full is read
+off the row's phase partition, and marking builds one phase stream per k
+that every trial replays.  Rows with k at least the number of distinct
+requested nodes evict nothing, so they are filled with zeros and run
+nothing, and the OPT stack stops at the last row that evicts; the flow
+profile stops by itself once an extra server saves nothing.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ def sweep(
     if method == "flow":
         opt_costs = offline.opt_flow_profile(trace, n, size_cap=size_cap)
     else:
-        opt_costs = [offline.opt_belady(trace, k) for k in range(1, busy + 1)]
+        opt_costs = offline.opt_paging_profile(trace, busy) if busy else []
     # on unit weights GreedyDual's relabel policies decide exactly as LRU
     # and FIFO (see ``run_greedydual``), so each pair is computed once
     alias = {"greedydual:max": "lru", "greedydual:min": "fifo"} if trace.is_paging else {}

@@ -90,9 +90,15 @@ class TestOptimal:
         "argv", [["optimal", "--k", "2"], ["sweep", "--n", "2", "--strategies", "lru"]],
         ids=["optimal", "sweep"],
     )
-    def test_belady_on_weighted_trace_is_domain_error(self, capsys, weighted_file, argv):
-        code, out, err = run_cli(capsys, *argv, "--opt", "belady", "--trace", weighted_file)
-        assert code == cli.DOMAIN_ERROR and err.startswith("error:") and out == ""
+    def test_belady_on_weighted_trace_is_domain_error(
+        self, capsys, weighted_file, tmp_path, argv
+    ):
+        # a single weighted node leaves a sweep no row to solve
+        one_node = tmp_path / "one.txt"
+        one_node.write_text("a 3\na 3\n", encoding="utf-8")
+        for path in (weighted_file, str(one_node)):
+            code, out, err = run_cli(capsys, *argv, "--opt", "belady", "--trace", path)
+            assert code == cli.DOMAIN_ERROR and err.startswith("error:") and out == ""
 
 
 class TestCertify:

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -12,6 +14,7 @@ from cachecomp.offline import (
     opt_bruteforce,
     opt_flow,
     opt_flow_profile,
+    opt_paging_profile,
     opt_single_server,
 )
 from cachecomp.trace import RequestTrace, generate_cyclic, generate_random, parse_trace
@@ -186,6 +189,60 @@ class TestBelady:
         for seed in range(6):
             t = generate_random(5, 60, 8, seed=seed)
             assert opt_single_server(t) == opt_flow(t, 1).cost
+
+
+@st.composite
+def paging_traces(draw):
+    """Unit-weight traces: random ones (empty and one-node included) and
+    cycles, whose OPT changes at every k below the cycle length."""
+    if draw(st.booleans()):
+        return generate_cyclic(draw(st.integers(2, 9)), draw(st.integers(1, 60)))
+    nodes = draw(st.integers(1, 8))
+    reqs = draw(st.lists(st.integers(0, nodes - 1), max_size=50))
+    return RequestTrace(tuple(reqs), (1,) * nodes, tuple(f"n{i}" for i in range(nodes)))
+
+
+class TestOptPagingProfile:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(trace=paging_traces(), n=st.integers(1, 12))
+    def test_matches_belady_and_flow_for_every_k(self, trace, n):
+        got = opt_paging_profile(trace, n)
+        assert got == [opt_belady(trace, k) for k in range(1, n + 1)]
+        assert got == opt_flow_profile(trace, n)
+
+    def test_edges(self):
+        assert opt_paging_profile(parse_trace(""), 3) == [0, 0, 0]
+        assert opt_paging_profile(parse_trace("a\na\na\n"), 2) == [0, 0]
+        # n above the distinct count: the tail is OPT(distinct) = 0
+        t = generate_cyclic(4, 40)
+        assert opt_paging_profile(t, 9) == [opt_belady(t, k) for k in range(1, 10)]
+        assert opt_paging_profile(t, 9)[3:] == [0] * 6
+        long_cycle = generate_cyclic(65, 1300)
+        assert opt_paging_profile(long_cycle, 64) == [
+            opt_belady(long_cycle, k) for k in range(1, 65)
+        ]
+
+    def test_rejects_weighted_and_n_below_one(self):
+        with pytest.raises(ValueError):
+            opt_paging_profile(parse_trace("a 2\nb\n"), 2)
+        with pytest.raises(ValueError):
+            opt_paging_profile(ABCA, 0)
+
+    def test_no_o_n_state_beyond_the_result(self):
+        """The stack and hit counters hold min(n, distinct) entries, so a
+        huge n costs only the returned list."""
+        t = parse_trace("a\nb\nc\na\nd\nb\n")
+
+        def peak_beyond_result(n):
+            tracemalloc.start()
+            try:
+                result = opt_paging_profile(t, n)
+                return tracemalloc.get_traced_memory()[1] - sys.getsizeof(result)
+            finally:
+                tracemalloc.stop()
+
+        small = peak_beyond_result(10)
+        assert peak_beyond_result(10**6) < 2 * small
 
 
 class TestBruteForce:

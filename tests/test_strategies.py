@@ -16,7 +16,9 @@ from cachecomp.strategies import (
     MAX_LOWER,
     MIN_LOWER,
     MOVE,
+    mark_stream,
     parse_strategy,
+    replay_mark,
     run,
     run_greedydual,
 )
@@ -150,6 +152,48 @@ class TestMark:
                 continue
             phase_start = max(s for s in starts if s <= e.index)
             assert e.evicted not in t.requests[phase_start:e.index]
+
+
+def replay_mark_with_randrange(stream, seed):
+    """``replay_mark`` drawing each eviction with ``randrange``; also
+    returns every candidate count it drew over."""
+    rng = random.Random(seed)
+    paid, counts = [], set()
+    for nodes, firsts in stream:
+        candidates = list(nodes)
+        for i, v, stale in firsts:
+            if stale and v in candidates:
+                candidates.remove(v)
+                continue
+            counts.add(len(candidates))
+            paid.append((i, candidates.pop(rng.randrange(len(candidates)))))
+    return paid, counts
+
+
+class TestMarkDraws:
+    """``replay_mark`` inlines ``randrange``'s rejection loop over
+    ``getrandbits``; a later CPython that draws ``randrange`` otherwise
+    fails here (and, if ``getrandbits`` moved, in the output pins)."""
+
+    EDGES = {1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33}  # 1, 2^j and 2^j + 1
+
+    def test_same_evictions_as_randrange(self):
+        # phases of 33 fresh nodes: every miss draws, over 33, 32, ..., 1
+        fresh = parse_trace("".join(f"v{i}\n" for i in range(33 * 4)))
+        mixed = generate_random(40, 2000, 1, seed=3)
+        seen = set()
+        for trace, k in ((fresh, 33), (mixed, 17), (mixed, 9), (mixed, 1)):
+            stream = mark_stream(trace, k)
+            for seed in range(20):
+                want, counts = replay_mark_with_randrange(stream, seed)
+                assert replay_mark(stream, seed) == want
+                seen |= counts
+        assert self.EDGES <= seen
+
+    def test_miss_without_candidates_is_rejected(self):
+        # a phase whose opening cache is empty cannot come from mark_stream
+        with pytest.raises(ValueError):
+            replay_mark([([], [(0, 7, False)])], 0)
 
 
 class TestConservativeness:

@@ -103,9 +103,10 @@ class TestSweep:
         assert table.rows[0].opt_cost == opt_flow(t, 1).cost
 
     def test_belady_rejects_weighted(self):
-        t = generate_random(3, 20, 5, seed=0)
-        with pytest.raises(ValueError):
-            sweep(t, ["lru"], 2, opt_method="belady")
+        # one distinct node leaves no row to solve, and is rejected anyway
+        for t in (generate_random(3, 20, 5, seed=0), parse_trace("a 3\na 3\n")):
+            with pytest.raises(ValueError):
+                sweep(t, ["lru"], 2, opt_method="belady")
 
     def test_weights_beyond_float_range_rejected_before_running(self):
         # len * max weight = 2 * 2^511: its square is beyond float range
@@ -375,11 +376,12 @@ class TestSharedWork:
         )
 
     def test_swept_work_is_skipped(self, monkeypatch):
-        """Rows with k >= the distinct node count run nothing; LRU comes
-        from one profile, FWF from the row's partition, and marking from
-        one phase stream per k for all its trials."""
+        """Rows with k >= the distinct node count run nothing; OPT and LRU
+        each come from one profile, FWF from the row's partition, and
+        marking from one phase stream per k for all its trials."""
         t = generate_cyclic(5, 60)
-        calls = {name: [] for name in ("run", "belady", "partition", "stream", "profile")}
+        names = ("run", "belady", "opt_profile", "partition", "stream", "profile")
+        calls = {name: [] for name in names}
 
         def counted(name, fn, key):
             def wrapper(*args, **kwargs):
@@ -394,6 +396,10 @@ class TestSharedWork:
         monkeypatch.setattr(
             offline, "opt_belady", counted("belady", offline.opt_belady, lambda trace, k: k)
         )
+        monkeypatch.setattr(
+            offline, "opt_paging_profile",
+            counted("opt_profile", offline.opt_paging_profile, lambda trace, n: n),
+        )
         for attr, name in (("partition", "partition"), ("mark_stream", "stream")):
             fn = getattr(sweep_module, attr)
             monkeypatch.setattr(sweep_module, attr, counted(name, fn, lambda trace, k: k))
@@ -404,7 +410,8 @@ class TestSharedWork:
         table = sweep(t, ["lru", "fifo", "fwf", "mark"], 12, mark_trials=3)
         busy = [1, 2, 3, 4]
         assert calls["run"] == [("fifo", k) for k in busy]
-        assert calls["belady"] == busy
+        assert calls["belady"] == []
+        assert calls["opt_profile"] == [4]
         assert calls["partition"] == busy
         assert calls["stream"] == busy
         assert calls["profile"] == [4]

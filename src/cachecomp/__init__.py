@@ -1,8 +1,9 @@
 """cachecomp: trace-driven competitive analysis of paging and weighted caching.
 
-Run online strategies (LRU, FIFO, flush-when-full, Balance, randomized
-marking, and the primal-dual GreedyDual with a live optimality
-certificate), compute exact offline optima, decompose traces into
+Run online strategies, named by plain strings (LRU, FIFO,
+flush-when-full, Balance, randomized marking, and the primal-dual
+GreedyDual with a live optimality certificate, whose min-lowering also
+runs Balance), compute exact offline optima, decompose traces into
 k-phases, and sweep the server count to measure loose competitiveness.
 All certificate arithmetic is exact (integers and rationals).
 """
@@ -41,7 +42,6 @@ from .strategies import (
     MIN_LOWER,
     Event,
     SimulationResult,
-    StrategySpec,
     parse_strategy,
     run,
     run_greedydual,
@@ -79,7 +79,6 @@ __all__ = [
     "RatioFamily",
     "RequestTrace",
     "SimulationResult",
-    "StrategySpec",
     "SweepTable",
     "TraceDomainError",
     "TraceParseError",

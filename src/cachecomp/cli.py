@@ -46,15 +46,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, need_k: bool = True) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, need_k: bool = True, verbose: bool = False
+    ) -> None:
         p.add_argument("--trace", required=True, help="trace file path")
         if need_k:
             p.add_argument("--k", type=int, required=True, help="number of servers")
         p.add_argument("--out", help="write CSV/data to this file")
-        p.add_argument("-v", "--verbose", action="store_true")
+        if verbose:
+            p.add_argument("-v", "--verbose", action="store_true")
 
     p_sim = sub.add_parser("simulate", help="run one online strategy")
-    add_common(p_sim)
+    add_common(p_sim, verbose=True)
     p_sim.add_argument(
         "--strategy",
         required=True,
@@ -63,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_opt = sub.add_parser("optimal", help="offline optimal cost and schedule")
-    add_common(p_opt)
+    add_common(p_opt, verbose=True)
     p_opt.add_argument(
         "--opt", choices=offline.OPT_METHODS, default="auto",
         help="solver: belady needs unit weights; auto picks per trace",
@@ -80,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ph = sub.add_parser("phases", help="k-phase decomposition statistics")
-    add_common(p_ph)
+    add_common(p_ph, verbose=True)
 
     p_sw = sub.add_parser("sweep", help="sweep k from 1..n over strategies")
     add_common(p_sw, need_k=False)
@@ -115,8 +118,7 @@ def _emit(summary: list[str], text: str | None, out: str | None) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
-    spec = strategies.parse_strategy(args.strategy)
-    result = strategies.run(spec, args.k, trace, seed=args.seed)
+    result = strategies.run(args.strategy, args.k, trace, seed=args.seed)
     text = None
     if args.out or args.verbose:
         lines = ["index,node,kind,evicted,cost"]

@@ -63,19 +63,20 @@ __all__ = [
     "opt_bruteforce",
     "opt_single_server",
     "OPT_METHODS",
+    "FLOW_CAP",
     "resolve_opt_method",
 ]
 
 _INF = float("inf")
 
-DEFAULT_FLOW_CAP = 100_000
+FLOW_CAP = 100_000  # most requests the flow solver accepts
 OPT_METHODS = ("auto", "flow", "belady")
 BRUTE_FORCE_MAX_LEN = 12
 BRUTE_FORCE_MAX_K = 4
 
 
 class InstanceSizeError(ValueError):
-    """Instance exceeds the solver's configured size cap."""
+    """Instance exceeds the flow solver's size cap, ``FLOW_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -245,12 +246,12 @@ class _IntervalFlow:
         return tuple(pred)
 
 
-def _interval_flow(trace: RequestTrace, k: int, size_cap: int) -> _IntervalFlow:
+def _interval_flow(trace: RequestTrace, k: int) -> _IntervalFlow:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(trace) > size_cap:
+    if len(trace) > FLOW_CAP:
         raise InstanceSizeError(
-            f"flow solver capped at {size_cap} requests, trace has {len(trace)}; "
+            f"flow solver capped at {FLOW_CAP} requests, trace has {len(trace)}; "
             "use belady (unit weights) or sample the trace"
         )
     return _IntervalFlow(trace, k)
@@ -269,22 +270,20 @@ def resolve_opt_method(trace: RequestTrace, method: str) -> str:
     return method
 
 
-def opt_flow(trace: RequestTrace, k: int, size_cap: int = DEFAULT_FLOW_CAP) -> OptSchedule:
+def opt_flow(trace: RequestTrace, k: int) -> OptSchedule:
     """Exact minimum cost with k servers, with the serving schedule.
 
-    Raises InstanceSizeError beyond ``size_cap`` requests; use
+    Raises InstanceSizeError beyond ``FLOW_CAP`` requests; use
     ``opt_belady`` (unit weights) or sample the trace instead.
     """
-    net = _interval_flow(trace, k, size_cap)
+    net = _interval_flow(trace, k)
     cost = net.profile()[-1]
     return OptSchedule(net.decode(), cost, k)
 
 
-def opt_flow_profile(
-    trace: RequestTrace, k: int, size_cap: int = DEFAULT_FLOW_CAP
-) -> list[int]:
+def opt_flow_profile(trace: RequestTrace, k: int) -> list[int]:
     """[OPT(1), OPT(2), ..., OPT(k)] from one incremental flow solve."""
-    profile = _interval_flow(trace, k, size_cap).profile()
+    profile = _interval_flow(trace, k).profile()
     return profile + [profile[-1]] * (k - len(profile))
 
 

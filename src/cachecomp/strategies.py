@@ -7,18 +7,24 @@ Costs are exact integers: the weight of each vacated node, so a flush
 pays for every node it unplaces.
 
 Each engine only decides: it walks the trace with O(1) or O(log k) work
-per request and records the paid decisions; flush-when-full, which
-flushes at every k-phase boundary after the first, is read off
-``phases.partition`` (``fwf_cost``).  Randomized marking is a phase
-stream and a replay: ``mark_stream`` records each k-phase's opening cache
-and first requests, and ``replay_mark`` draws one seed's evictions from
-it, so a sweep builds one stream per k for all its trials.  On unit
-weights ``lru_cost_profile`` gives LRU's cost for every k from one
-stack-distance pass.  Sweeps read only the cost, so they never build a
-per-request log; ``SimulationResult.events`` is expanded from the
-decisions on first access.  A placed server is never unplaced except by
-a flush, which unplaces them all, so the lowest unplaced server id is
-always the number of servers placed.
+per request and records the paid decisions.  LRU and FIFO share an O(1)
+recency engine.  Balance runs on GreedyDual's label engine, as its
+min-lowering with ties by server id (see ``_greedydual``).
+Flush-when-full, which flushes at every k-phase boundary after the
+first, is read off ``phases.partition`` (``fwf_cost``).  Randomized
+marking is a phase stream and a replay: ``mark_stream`` records each
+k-phase's opening cache and first requests, and ``replay_mark`` draws
+one seed's evictions from it, so a sweep builds one stream per k for all
+its trials.  On unit weights ``lru_cost_profile`` gives LRU's cost for
+every k from one stack-distance pass.  Sweeps read only the cost, so
+they never build a per-request log; ``SimulationResult.events`` is
+expanded from the decisions on first access.  A placed server is never
+unplaced except by a flush, which unplaces them all, so the lowest
+unplaced server id is always the number of servers placed.
+
+Strategies are plain names, canonicalized by ``parse_strategy``;
+``UNIT_WEIGHT_TWINS`` records which of them decide alike on unit
+weights.
 """
 
 from __future__ import annotations
@@ -40,10 +46,10 @@ __all__ = [
     "FLUSH",
     "Event",
     "SimulationResult",
-    "StrategySpec",
     "MAX_LOWER",
     "MIN_LOWER",
     "STRATEGY_NAMES",
+    "UNIT_WEIGHT_TWINS",
     "parse_strategy",
     "run",
     "run_greedydual",
@@ -62,7 +68,13 @@ FLUSH = "flush"
 MAX_LOWER = "max"  # lower as much as allowed (LRU-like)
 MIN_LOWER = "min"  # lower as little as allowed (Balance/FIFO-like)
 
-STRATEGY_NAMES = ("lru", "fifo", "fwf", "balance", "mark", "greedydual")
+STRATEGY_NAMES = ("lru", "fifo", "fwf", "balance", "mark", "greedydual:max", "greedydual:min")
+
+# On unit weights each of these strategies makes exactly the decisions of
+# its twin: GreedyDual's policies are LRU and FIFO (see ``run_greedydual``),
+# and Balance, whose key is then the number of nodes a server has served,
+# moves its servers round-robin by id, as FIFO does.
+UNIT_WEIGHT_TWINS = {"greedydual:max": "lru", "greedydual:min": "fifo", "balance": "fifo"}
 
 DEFAULT_SEED = 0
 
@@ -141,30 +153,16 @@ class SimulationResult:
         return tuple(node_of)
 
 
-@dataclass(frozen=True)
-class StrategySpec:
-    name: str
-    relabel: str = MAX_LOWER  # only meaningful for greedydual
-
-    def __str__(self) -> str:
-        if self.name == "greedydual":
-            return f"greedydual:{self.relabel}"
-        return self.name
-
-
-def parse_strategy(spec: str) -> StrategySpec:
-    """Parse ``lru | fifo | fwf | balance | mark | greedydual[:max|:min]``."""
+def parse_strategy(spec: str) -> str:
+    """The canonical name of ``lru | fifo | fwf | balance | mark |
+    greedydual[:max|:min]``, one of ``STRATEGY_NAMES``; ``greedydual`` is
+    ``greedydual:max``."""
     text = spec.strip().lower()
-    if text.startswith("greedydual"):
-        rest = text[len("greedydual"):]
-        if rest in ("", f":{MAX_LOWER}"):
-            return StrategySpec("greedydual", MAX_LOWER)
-        if rest == f":{MIN_LOWER}":
-            return StrategySpec("greedydual", MIN_LOWER)
-        raise ValueError(f"unknown greedydual variant {spec!r}")
-    if text in STRATEGY_NAMES:
-        return StrategySpec(text)
-    raise ValueError(f"unknown strategy {spec!r}")
+    if text == "greedydual":
+        text = f"greedydual:{MAX_LOWER}"
+    if text not in STRATEGY_NAMES:
+        raise ValueError(f"unknown strategy {spec!r}")
+    return text
 
 
 def _run_recency(trace: RequestTrace, k: int, refresh: bool) -> list:
@@ -181,29 +179,6 @@ def _run_recency(trace: RequestTrace, k: int, refresh: bool) -> list:
         if len(served) == k:
             paid.append((i, served.popitem(last=False)[0]))
         served[v] = None
-    return paid
-
-
-def _run_balance(trace: RequestTrace, k: int) -> list:
-    """Move the server minimizing (weight of its node + distance traveled
-    so far); ties go to the smallest server id.  A move adds the new node's
-    weight to the moved server's key and changes no other key, so a heap
-    of (key, server id, node) stays exact."""
-    weights = trace.weights
-    served: set[int] = set()
-    heap: list[tuple[int, int, int]] = []  # (key, server id, node)
-    paid = []
-    for i, v in enumerate(trace.requests):
-        if v in served:
-            continue
-        if len(heap) < k:
-            heapq.heappush(heap, (weights[v], len(heap), v))
-        else:
-            key, s, u = heap[0]
-            heapq.heapreplace(heap, (key + weights[v], s, v))
-            served.remove(u)
-            paid.append((i, u))
-        served.add(v)
     return paid
 
 
@@ -335,6 +310,8 @@ def run_greedydual(
     servers the victim is the one with minimal H (then earliest last touch)
     under "max", or minimal L (then earliest last move) under "min"; these
     tie-breaks make the unit-weight runs reproduce LRU and FIFO exactly.
+    Balance is "min" with ties by server id instead; ``run("balance")``
+    runs it, and ``relabel`` accepts only "max" and "min".
 
     Labels are kept lazily against a global offset, so a relabel is O(1);
     observable behavior equals eager subtraction.
@@ -343,7 +320,7 @@ def run_greedydual(
 
 
 def _greedydual(
-    trace: RequestTrace, k: int, relabel: str
+    trace: RequestTrace, k: int, relabel: str, by_id: bool = False
 ) -> tuple[SimulationResult, list[int]]:
     """The label loop of ``run_greedydual``, also returning the offset (the
     dual's cumulative raise, see ``dualcert``) at the start of each request
@@ -353,6 +330,12 @@ def _greedydual(
     is the heap minimum of (H, last touch, id) under "max" or (L, last
     move, id) under "min".  Only moves change L; under "max" a hit pushes a
     new H, and entries older than their server's last touch are skipped.
+    The victim's entry is replaced by the moved server's new one in place.
+
+    ``by_id`` runs Balance: "min" lowering with ties by server id, which
+    is then each entry's stamp and never changes.  A stored L telescopes
+    to the weight of the server's node plus the distance it has traveled,
+    which is Balance's key.
     """
     if relabel not in (MAX_LOWER, MIN_LOWER):
         raise ValueError(f"unknown relabel policy {relabel!r}")
@@ -362,7 +345,7 @@ def _greedydual(
     weights = trace.weights
     offset = 0
     where: dict[int, int] = {}  # node -> server id
-    stamp: list[int] = []  # last touch under "max", last move under "min"
+    stamp: list[int] = []  # last touch ("max"), last move ("min") or id (Balance)
     heap: list[tuple[int, int, int, int]] = []  # (stored label, stamp, id, node)
     offsets: list[int] = []
     paid = []
@@ -371,57 +354,54 @@ def _greedydual(
         s = where.get(v)
         if s is None and len(where) < k:
             s = len(where)
-            stamp.append(i)
+            stamp.append(s if by_id else i)
+            heapq.heappush(heap, (weights[v] + offset, stamp[s], s, v))
         elif s is None:
             while heap[0][1] != stamp[heap[0][2]]:
                 heapq.heappop(heap)
-            offset, _, s, u = heapq.heappop(heap)
+            offset, _, s, u = heap[0]
             paid.append((i, u))
             del where[u]
-            stamp[s] = i
+            stamp[s] = s if by_id else i
+            heapq.heapreplace(heap, (weights[v] + offset, stamp[s], s, v))
         elif by_touch:
             stamp[s] = i
             if len(heap) >= 2 * k:
                 heap = [e for e in heap if e[1] == stamp[e[2]]]
                 heapq.heapify(heap)
+            heapq.heappush(heap, (weights[v] + offset, i, s, v))
         else:
             continue
-        heapq.heappush(heap, (weights[v] + offset, i, s, v))
         where[v] = s
     offsets.append(offset)
-    return _result(f"greedydual:{relabel}", k, trace, paid), offsets
+    name = "balance" if by_id else f"greedydual:{relabel}"
+    return _result(name, k, trace, paid), offsets
 
 
 def run(
-    strategy: StrategySpec | str,
-    k: int,
-    trace: RequestTrace,
-    seed: int = DEFAULT_SEED,
+    strategy: str, k: int, trace: RequestTrace, seed: int = DEFAULT_SEED
 ) -> SimulationResult:
-    """Simulate one strategy over the whole trace.
+    """Simulate one strategy, named as ``parse_strategy`` accepts, over
+    the whole trace.
 
     Deterministic for every strategy; ``mark`` is deterministic given the
     seed.  Requests to served nodes are hits and cost nothing.
     """
-    if isinstance(strategy, str):
-        strategy = parse_strategy(strategy)
+    name = parse_strategy(strategy)
     if k < 1:
         raise ValueError("k must be >= 1")
-    name = strategy.name
-    if name == "greedydual":
-        return run_greedydual(trace, k, strategy.relabel)
+    if name.startswith("greedydual:"):
+        return run_greedydual(trace, k, name.partition(":")[2])
+    if name == "balance":
+        return _greedydual(trace, k, MIN_LOWER, by_id=True)[0]
     if name in ("lru", "fifo"):
         paid = _run_recency(trace, k, refresh=name == "lru")
     elif name == "fwf":
         p = partition(trace, k)
         paid = tuple((b, None) for b in p.boundaries[1:])
         return SimulationResult(name, k, fwf_cost(p), paid, trace)
-    elif name == "balance":
-        paid = _run_balance(trace, k)
-    elif name == "mark":
-        paid = replay_mark(mark_stream(trace, k), seed)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        paid = replay_mark(mark_stream(trace, k), seed)
     return _result(name, k, trace, paid)
 
 

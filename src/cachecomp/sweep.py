@@ -14,8 +14,9 @@ LRU are stack algorithms (Mattson, Gecsei, Slutz & Traiger 1970), so
 each one's cost for every k comes from one pass: an OPT stack ordered by
 next use (``offline.opt_paging_profile``, with
 OPT(k) = N - hits(depth <= k) - min(k, distinct)) and LRU's stack
-distances.  GreedyDual's relabel policies, which decide exactly as LRU
-and FIFO there, share those strategies' costs.  Flush-when-full is read
+distances.  A strategy with a twin there (``UNIT_WEIGHT_TWINS``:
+GreedyDual's relabel policies are LRU and FIFO, and Balance is FIFO)
+takes its twin's cost, so each class runs once.  Flush-when-full is read
 off the row's phase partition, and marking builds one phase stream per k
 that every trial replays.  Rows with k at least the number of distinct
 requested nodes evict nothing, so they are filled with zeros and run
@@ -34,7 +35,7 @@ from . import offline
 from .phases import partition
 from .strategies import (
     DEFAULT_SEED,
-    StrategySpec,
+    UNIT_WEIGHT_TWINS,
     fwf_cost,
     lru_cost_profile,
     mark_stream,
@@ -173,12 +174,11 @@ def _mark_mean(
 
 def sweep(
     trace: RequestTrace,
-    strategies: list[StrategySpec | str],
+    strategies: list[str],
     n: int,
     opt_method: str = "auto",
     mark_trials: int = 100,
     seed: int = DEFAULT_SEED,
-    size_cap: int = offline.DEFAULT_FLOW_CAP,
 ) -> SweepTable:
     """Tabulate every strategy and the offline optimum for k = 1..n.
 
@@ -186,8 +186,9 @@ def sweep(
     exact mean over ``mark_trials`` runs whose seeds derive from ``seed``,
     k, and the trial index only, so results are independent of evaluation
     order; the table equals running every strategy and trial on its own
-    for each k.  The offline optima come first, so an infeasible method or
-    a trace over ``size_cap`` fails before any strategy runs.
+    for each k.  A strategy named twice (after ``parse_strategy``) is
+    rejected.  The offline optima come first, so an infeasible method or
+    a trace over ``offline.FLOW_CAP`` fails before any strategy runs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -197,19 +198,20 @@ def sweep(
     # the spread of marking costs are floats, and the spread squares it.
     if (len(trace) * max(trace.weights, default=1)) ** 2 > sys.float_info.max:
         raise ValueError("weights too large for a sweep's floating-point columns")
-    specs = [parse_strategy(s) if isinstance(s, str) else s for s in strategies]
+    names = [parse_strategy(s) for s in strategies]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"strategy {name!r} given twice")
     method = offline.resolve_opt_method(trace, opt_method)
     # with k >= the number of distinct requested nodes nothing is ever
     # evicted, so only the rows k <= busy run anything
     busy = max(min(n, trace.distinct_requested() - 1), 0)
     if method == "flow":
-        opt_costs = offline.opt_flow_profile(trace, n, size_cap=size_cap)
+        opt_costs = offline.opt_flow_profile(trace, n)
     else:
         opt_costs = offline.opt_paging_profile(trace, busy) if busy else []
-    # on unit weights GreedyDual's relabel policies decide exactly as LRU
-    # and FIFO (see ``run_greedydual``), so each pair is computed once
-    alias = {"greedydual:max": "lru", "greedydual:min": "fifo"} if trace.is_paging else {}
-    keys = [alias.get(str(spec), str(spec)) for spec in specs]
+    twins = UNIT_WEIGHT_TWINS if trace.is_paging else {}
+    keys = [twins.get(name, name) for name in names]
     lru_costs = None
     if trace.is_paging and busy and "lru" in keys:
         lru_costs = lru_cost_profile(trace, busy)
@@ -221,9 +223,8 @@ def sweep(
         by_key: dict[str, int] = {}
         costs: dict[str, int | Fraction] = {}
         stderr: dict[str, float] = {}
-        for spec, key in zip(specs, keys):
-            name = str(spec)
-            if spec.name == "mark":
+        for name, key in zip(names, keys):
+            if name == "mark":
                 if stream is None:
                     stream = mark_stream(trace, k)
                 costs[name], stderr[name] = _mark_mean(trace, stream, k, seed, mark_trials)
@@ -234,17 +235,17 @@ def sweep(
                 elif key == "lru" and lru_costs is not None:
                     by_key[key] = lru_costs[k - 1]
                 else:
-                    by_key[key] = run(spec, k, trace, seed=seed).total_cost
+                    by_key[key] = run(key, k, trace, seed=seed).total_cost
             costs[name] = by_key[key]
         rows.append(SweepRow(k, opt_costs[k - 1], p.num_phases, p.avenew, costs, stderr))
     for k in range(busy + 1, n + 1):
-        costs = {str(spec): Fraction(0) if spec.name == "mark" else 0 for spec in specs}
-        stderr = {str(spec): 0.0 for spec in specs if spec.name == "mark"}
+        costs = {name: Fraction(0) if name == "mark" else 0 for name in names}
+        stderr = {name: 0.0 for name in names if name == "mark"}
         rows.append(SweepRow(k, 0, 0, Fraction(0), costs, stderr))
 
     return SweepTable(
         n=n,
-        strategies=tuple(str(s) for s in specs),
+        strategies=tuple(names),
         opt_method=method,
         rows=tuple(rows),
         opt1=offline.opt_single_server(trace),
@@ -263,7 +264,7 @@ def count_violators(
     d = Fraction(d)
     if d <= 0:
         raise ValueError("d must be positive")
-    name = strategy if strategy in table.strategies else str(parse_strategy(strategy))
+    name = strategy if strategy in table.strategies else parse_strategy(strategy)
     if name not in table.strategies:
         raise ValueError(f"strategy {strategy!r} not in table")
     n = table.n
@@ -323,10 +324,10 @@ def violator_bound_check(
 ) -> bool:
     """Sweep the trace with ``sweep``'s defaults and test the violator
     count against its ceiling."""
-    spec = parse_strategy(strategy)
-    table = sweep(trace, [spec], n)
-    report = count_violators(table, str(spec), family, d)
-    limit = violator_bound_limit(family, n, d, for_mark=spec.name == "mark")
+    name = parse_strategy(strategy)
+    table = sweep(trace, [name], n)
+    report = count_violators(table, name, family, d)
+    limit = violator_bound_limit(family, n, d, for_mark=name == "mark")
     return report.count <= limit
 
 

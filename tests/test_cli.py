@@ -145,6 +145,13 @@ class TestPhases:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("strategies", ["lru,LRU", "greedydual,greedydual:max"])
+    def test_repeated_strategy(self, capsys, trace_file, strategies):
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "2", "--strategies", strategies, "--trace", trace_file
+        )
+        assert code == 1 and out == "" and "given twice" in err
+
     def test_stdout_csv(self, capsys, trace_file):
         code, out, _ = run_cli(
             capsys, "sweep", "--trace", trace_file, "--n", "3",
@@ -353,6 +360,19 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys, trace_file):
         assert cli.main(["simulate", "--trace", trace_file]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--k", "2", "-v"],
+            ["sweep", "--n", "2", "--strategies", "lru", "-v"],
+            ["certify", "--k", "2", "--policy", "balance"],
+        ],
+        ids=["certify-verbose", "sweep-verbose", "certify-balance"],
+    )
+    def test_flag_not_offered(self, capsys, trace_file, argv):
+        code, out, _ = run_cli(capsys, *argv, "--trace", trace_file)
+        assert code == 2 and out == ""
 
 
 class TestDeterminism:

@@ -234,8 +234,9 @@ class TestCertifiedRun:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             run_greedydual_certified(ABCA, 0)
-        with pytest.raises(ValueError):
-            run_greedydual_certified(ABCA, 2, "sideways")
+        for policy in ("sideways", "balance"):
+            with pytest.raises(ValueError):
+                run_greedydual_certified(ABCA, 2, policy)
 
 
 def _negative_last_raise(events, offsets):

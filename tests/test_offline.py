@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecomp.offline import (
+    FLOW_CAP,
     InstanceSizeError,
     OptSchedule,
     opt_belady,
@@ -40,9 +41,11 @@ class TestOptFlow:
         assert opt_flow(t, 3).cost == 0
 
     def test_size_cap(self):
-        t = generate_random(3, 30, 1, seed=0)
+        t = generate_cyclic(2, FLOW_CAP + 1)
+        with pytest.raises(InstanceSizeError, match=f"capped at {FLOW_CAP} requests"):
+            opt_flow(t, 2)
         with pytest.raises(InstanceSizeError):
-            opt_flow(t, 2, size_cap=10)
+            opt_flow_profile(t, 2)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):

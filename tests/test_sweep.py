@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cachecomp import offline
 from cachecomp.offline import InstanceSizeError, opt_bruteforce, opt_flow
 from cachecomp.phases import partition
-from cachecomp.strategies import lru_cost_profile, parse_strategy, run
+from cachecomp.strategies import UNIT_WEIGHT_TWINS, lru_cost_profile, parse_strategy, run
 from cachecomp.sweep import (
     RatioFamily,
     SweepRow,
@@ -27,6 +27,11 @@ from cachecomp.sweep import (
 from cachecomp.trace import RequestTrace, generate_cyclic, generate_random, parse_trace
 
 sweep_module = importlib.import_module("cachecomp.sweep")
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called a step that must not run")
+
 
 ABCABD = parse_trace("a\nb\nc\na\nb\nd\n")
 
@@ -108,17 +113,31 @@ class TestSweep:
             with pytest.raises(ValueError):
                 sweep(t, ["lru"], 2, opt_method="belady")
 
-    def test_weights_beyond_float_range_rejected_before_running(self):
+    def test_weights_beyond_float_range_rejected_before_running(self, monkeypatch):
+        assert sweep(parse_trace(f"a {2**510}\nb\n"), ["lru", "mark"], 2).opt1 == 2**510
         # len * max weight = 2 * 2^511: its square is beyond float range
         t = parse_trace(f"a {2**511}\nb\n")
+        monkeypatch.setattr(offline, "opt_flow_profile", _must_not_run)
         with pytest.raises(ValueError, match="float"):
-            sweep(t, ["lru"], 2, opt_method="flow", size_cap=1)
-        assert sweep(parse_trace(f"a {2**510}\nb\n"), ["lru", "mark"], 2).opt1 == 2**510
+            sweep(t, ["lru"], 2, opt_method="flow")
 
-    def test_flow_cap_checked_before_running(self):
-        t = generate_random(3, 40, 5, seed=0)
+    def test_flow_cap_checked_before_running(self, monkeypatch):
+        t = generate_cyclic(2, offline.FLOW_CAP + 1)
+        monkeypatch.setattr(sweep_module, "run", _must_not_run)
         with pytest.raises(InstanceSizeError):
-            sweep(t, ["lru"], 2, opt_method="flow", size_cap=10)
+            sweep(t, ["fifo"], 2, opt_method="flow")
+
+    @pytest.mark.parametrize(
+        "strategies, repeated",
+        [
+            (["lru", "LRU"], "lru"),
+            (["fifo", "greedydual", "greedydual:max"], "greedydual:max"),
+            (["mark", "mark"], "mark"),
+        ],
+    )
+    def test_repeated_strategy_rejected(self, strategies, repeated):
+        with pytest.raises(ValueError, match=f"strategy '{repeated}' given twice"):
+            sweep(generate_cyclic(3, 12), strategies, 2)
 
     def test_mark_mean_and_stderr(self):
         t = generate_cyclic(6, 80)
@@ -289,7 +308,7 @@ class TestCsvAndPlots:
 def reference_sweep(trace, strategies, n, opt_method="auto", mark_trials=100, seed=0):
     """The sweep as a plain loop over k: every strategy and every marking
     trial run on its own, every k, with no shared work."""
-    specs = [parse_strategy(s) for s in strategies]
+    names = [parse_strategy(s) for s in strategies]
     method = offline.resolve_opt_method(trace, opt_method)
     if method == "flow":
         opt_costs = offline.opt_flow_profile(trace, n)
@@ -299,11 +318,10 @@ def reference_sweep(trace, strategies, n, opt_method="auto", mark_trials=100, se
     for k in range(1, n + 1):
         p = partition(trace, k)
         costs, stderr = {}, {}
-        for spec in specs:
-            name = str(spec)
-            if spec.name == "mark":
+        for name in names:
+            if name == "mark":
                 samples = [
-                    run(spec, k, trace, seed=_mark_trial_seed(seed, k, t)).total_cost
+                    run(name, k, trace, seed=_mark_trial_seed(seed, k, t)).total_cost
                     for t in range(mark_trials)
                 ]
                 mean = Fraction(sum(samples), len(samples))
@@ -314,10 +332,10 @@ def reference_sweep(trace, strategies, n, opt_method="auto", mark_trials=100, se
                 else:
                     stderr[name] = 0.0
             else:
-                costs[name] = run(spec, k, trace, seed=seed).total_cost
+                costs[name] = run(name, k, trace, seed=seed).total_cost
         rows.append(SweepRow(k, opt_costs[k - 1], p.num_phases, p.avenew, costs, stderr))
     return SweepTable(
-        n, tuple(str(s) for s in specs), method, tuple(rows), offline.opt_single_server(trace)
+        n, tuple(names), method, tuple(rows), offline.opt_single_server(trace)
     )
 
 
@@ -340,6 +358,15 @@ class TestSharedWork:
         assert lru_cost_profile(trace, n) == [
             run("lru", k, trace).total_cost for k in range(1, n + 1)
         ]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(trace=traces(wmax=1), k=st.integers(1, 8))
+    def test_unit_weight_twins_decide_alike(self, trace, k):
+        for name, twin in UNIT_WEIGHT_TWINS.items():
+            got, want = run(name, k, trace), run(twin, k, trace)
+            assert got.events == want.events
+            assert got.final_nodes == want.final_nodes
+            assert got.total_cost == want.total_cost
 
     def test_lru_profile_edges(self):
         one = generate_random(1, 30, 1, seed=0)

@@ -7,9 +7,10 @@ byte-deterministic for a fixed argv: seeds default to a fixed constant
 (0), never the clock.
 
 Exit codes: 0 success, 1 domain error (bad or unreadable trace, any
-other OSError, infeasible method), 2 usage error, 3 certificate check
-failure, 141 stdout closed before all output was written (as for a
-process killed by SIGPIPE, e.g. ``cachecomp sweep ... | head``).
+other OSError, infeasible method, sweep n above ``SWEEP_N_CAP``), 2
+usage error, 3 certificate check failure, 141 stdout closed before all
+output was written (as for a process killed by SIGPIPE, e.g.
+``cachecomp sweep ... | head``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 from . import dualcert, offline, phases, strategies
 from .strategies import DEFAULT_SEED
 from .sweep import (
+    SWEEP_N_CAP,
     count_violators,
     gnuplot_script,
     parse_family,
@@ -87,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="sweep k from 1..n over strategies")
     add_common(p_sw, need_k=False)
-    p_sw.add_argument("--n", type=int, required=True, help="largest k")
+    p_sw.add_argument("--n", type=int, required=True, help=f"largest k, <= {SWEEP_N_CAP}")
     p_sw.add_argument(
         "--strategies", required=True, help="comma-separated strategy list"
     )

@@ -17,18 +17,20 @@ OPT(k) = N - hits(depth <= k) - min(k, distinct)) and LRU's stack
 distances.  A strategy with a twin there (``UNIT_WEIGHT_TWINS``:
 GreedyDual's relabel policies are LRU and FIFO, and Balance is FIFO)
 takes its twin's cost, so each class runs once.  Flush-when-full is read
-off the row's phase partition, and marking builds one phase stream per k
-that every trial replays.  Rows with k at least the number of distinct
-requested nodes evict nothing, so they are filled with zeros and run
-nothing, and the OPT stack stops at the last row that evicts; the flow
-profile stops by itself once an extra server saves nothing.
+off the row's phase partition, and marking's cost, the exact mean of its
+seeded replays, from one phase stream per k that every trial replays.
+Rows with k at least the number of distinct requested nodes evict
+nothing, so they are filled with zeros and run nothing, and the OPT
+stack stops at the last row that evicts; the flow profile stops by
+itself once an extra server saves nothing.  At most ``SWEEP_N_CAP``
+rows are swept, checked before any solver runs.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import offline
@@ -58,9 +60,11 @@ __all__ = [
     "table_to_csv",
     "gnuplot_script",
     "VIOLATOR_BOUND_CONSTANT",
+    "SWEEP_N_CAP",
 ]
 
 VIOLATOR_BOUND_CONSTANT = 8
+SWEEP_N_CAP = 100_000  # most values of k one sweep tabulates
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,7 @@ class SweepRow:
     opt_cost: int
     num_phases: int
     avenew: Fraction
-    costs: dict[str, int | Fraction]  # strategy name -> cost (mark: mean)
-    stderr: dict[str, float] = field(default_factory=dict)  # mark only
+    costs: dict[str, int | Fraction]  # strategy name -> cost (mark: exact mean)
 
 
 @dataclass(frozen=True)
@@ -155,21 +158,14 @@ def _mark_trial_seed(seed: int, k: int, trial: int) -> int:
     return seed ^ mix
 
 
-def _mark_mean(
-    trace: RequestTrace, stream: list, k: int, seed: int, trials: int
-) -> tuple[Fraction, float]:
-    """Exact mean cost of ``trials`` marking runs replayed from one phase
-    stream, and its standard error (0 for a single trial)."""
-    weights = trace.weights
-    samples = [
-        sum(weights[u] for _, u in replay_mark(stream, _mark_trial_seed(seed, k, t)))
-        for t in range(trials)
-    ]
-    mean = Fraction(sum(samples), trials)
-    if trials == 1:
-        return mean, 0.0
-    var = sum((s - mean) ** 2 for s in samples) / (trials - 1)
-    return mean, math.sqrt(float(var) / trials)
+def _mark_mean(trace: RequestTrace, k: int, seed: int, trials: int) -> Fraction:
+    """Exact mean cost of ``trials`` marking runs, all replayed from one
+    phase stream."""
+    stream, weights = mark_stream(trace, k), trace.weights
+    total = 0
+    for t in range(trials):
+        total += sum(weights[u] for _, u in replay_mark(stream, _mark_trial_seed(seed, k, t)))
+    return Fraction(total, trials)
 
 
 def sweep(
@@ -186,17 +182,19 @@ def sweep(
     exact mean over ``mark_trials`` runs whose seeds derive from ``seed``,
     k, and the trial index only, so results are independent of evaluation
     order; the table equals running every strategy and trial on its own
-    for each k.  A strategy named twice (after ``parse_strategy``) is
-    rejected.  The offline optima come first, so an infeasible method or
-    a trace over ``offline.FLOW_CAP`` fails before any strategy runs.
+    for each k.  A strategy named twice (after ``parse_strategy``), an n
+    above ``SWEEP_N_CAP`` and weights beyond float range are rejected
+    before any solver runs.  The offline optima come first, so an
+    infeasible method or a trace over ``offline.FLOW_CAP`` fails before
+    any strategy runs.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= SWEEP_N_CAP:
+        raise ValueError(f"n must be between 1 and {SWEEP_N_CAP}, got {n}")
     if mark_trials < 1:
         raise ValueError("mark_trials must be >= 1")
-    # Every cost is at most len(trace) * max weight; ratios, thresholds and
-    # the spread of marking costs are floats, and the spread squares it.
-    if (len(trace) * max(trace.weights, default=1)) ** 2 > sys.float_info.max:
+    # every cost is at most len(trace) * max weight, and costs, ratios and
+    # thresholds are printed or compared as floats
+    if len(trace) * max(trace.weights, default=1) > sys.float_info.max:
         raise ValueError("weights too large for a sweep's floating-point columns")
     names = [parse_strategy(s) for s in strategies]
     for i, name in enumerate(names):
@@ -219,29 +217,22 @@ def sweep(
     rows = []
     for k in range(1, busy + 1):
         p = partition(trace, k)
-        stream = None
-        by_key: dict[str, int] = {}
-        costs: dict[str, int | Fraction] = {}
-        stderr: dict[str, float] = {}
-        for name, key in zip(names, keys):
-            if name == "mark":
-                if stream is None:
-                    stream = mark_stream(trace, k)
-                costs[name], stderr[name] = _mark_mean(trace, stream, k, seed, mark_trials)
-                continue
+        by_key: dict[str, int | Fraction] = {}
+        for key in keys:
             if key not in by_key:
-                if key == "fwf":
+                if key == "mark":
+                    by_key[key] = _mark_mean(trace, k, seed, mark_trials)
+                elif key == "fwf":
                     by_key[key] = fwf_cost(p)
                 elif key == "lru" and lru_costs is not None:
                     by_key[key] = lru_costs[k - 1]
                 else:
                     by_key[key] = run(key, k, trace, seed=seed).total_cost
-            costs[name] = by_key[key]
-        rows.append(SweepRow(k, opt_costs[k - 1], p.num_phases, p.avenew, costs, stderr))
+        costs = {name: by_key[key] for name, key in zip(names, keys)}
+        rows.append(SweepRow(k, opt_costs[k - 1], p.num_phases, p.avenew, costs))
     for k in range(busy + 1, n + 1):
         costs = {name: Fraction(0) if name == "mark" else 0 for name in names}
-        stderr = {name: 0.0 for name in names if name == "mark"}
-        rows.append(SweepRow(k, 0, 0, Fraction(0), costs, stderr))
+        rows.append(SweepRow(k, 0, 0, Fraction(0), costs))
 
     return SweepTable(
         n=n,
@@ -273,9 +264,14 @@ def count_violators(
         try:
             floor = table.opt1 / float(n) ** float(d)
         except OverflowError:  # float(d) or n^d too large for a float
-            # for n >= 2 the floor is then below 1e-150, as sweep keeps opt1
-            # below 1e155, so below any positive cost
-            floor = 0.0 if n > 1 else table.opt1
+            # 1^d = 1; for n >= 2 the floor is below 1, as sweep keeps opt1 in
+            # float range, yet it may exceed a marking mean: take it in logs
+            try:
+                floor = table.opt1 if n == 1 or not table.opt1 else math.exp(
+                    math.log(table.opt1) - float(d) * math.log(n)
+                )
+            except OverflowError:  # float(d): the floor underflows to 0
+                floor = 0.0
     ks = []
     for row in table.rows:
         cost = row.costs[name]

@@ -152,6 +152,13 @@ class TestSweep:
         )
         assert code == 1 and out == "" and "given twice" in err
 
+    def test_huge_n_is_domain_error(self, capsys, trace_file):
+        code, out, err = run_cli(
+            capsys, "sweep", "--trace", trace_file, "--n", "1000000000", "--strategies", "lru"
+        )
+        assert code == cli.DOMAIN_ERROR and out == ""
+        assert err.startswith("error: n must be") and err.count("\n") == 1
+
     def test_stdout_csv(self, capsys, trace_file):
         code, out, _ = run_cli(
             capsys, "sweep", "--trace", trace_file, "--n", "3",

@@ -1,6 +1,7 @@
 """Every demo prints exactly what it printed before: the sha256 of its
 stdout is pinned.  Demo 01 runs flush-when-full on a weighted trace and
-demo 04 prints phase statistics, so both pin those engines end to end."""
+demo 04 prints phase statistics, so both pin those engines end to end.
+The README's library quick start runs too, so it cannot rot."""
 
 import hashlib
 import os
@@ -25,13 +26,25 @@ def test_every_demo_is_pinned():
     assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(STDOUT_SHA256)
 
 
-@pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
-def test_demo_output_is_unchanged(name):
+def _run_python(args):
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
-        capture_output=True, env=env, timeout=120, check=False,
+        [sys.executable, *args], capture_output=True, env=env, timeout=120, check=False
     )
     assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[name]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
+def test_demo_output_is_unchanged(name):
+    stdout = _run_python([str(ROOT / "demos" / name)])
+    assert hashlib.sha256(stdout).hexdigest() == STDOUT_SHA256[name]
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "sweep(" in block
+    _run_python(["-c", block])

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from cachecomp.offline import InstanceSizeError, opt_bruteforce, opt_flow
 from cachecomp.phases import partition
 from cachecomp.strategies import UNIT_WEIGHT_TWINS, lru_cost_profile, parse_strategy, run
 from cachecomp.sweep import (
+    SWEEP_N_CAP,
     RatioFamily,
     SweepRow,
     SweepTable,
@@ -114,12 +116,25 @@ class TestSweep:
                 sweep(t, ["lru"], 2, opt_method="belady")
 
     def test_weights_beyond_float_range_rejected_before_running(self, monkeypatch):
-        assert sweep(parse_trace(f"a {2**510}\nb\n"), ["lru", "mark"], 2).opt1 == 2**510
-        # len * max weight = 2 * 2^511: its square is beyond float range
-        t = parse_trace(f"a {2**511}\nb\n")
+        table = sweep(parse_trace(f"a {2**1022}\nb\n"), ["lru", "mark"], 2)
+        assert table.opt1 == 2**1022
+        assert "inf" not in table_to_csv(table, parse_family("log:1"), 1)
+        # len * max weight = 2 * 2^1023 is beyond float range
+        t = parse_trace(f"a {2**1023}\nb\n")
         monkeypatch.setattr(offline, "opt_flow_profile", _must_not_run)
         with pytest.raises(ValueError, match="float"):
             sweep(t, ["lru"], 2, opt_method="flow")
+
+    def test_n_cap_checked_before_running(self, monkeypatch):
+        monkeypatch.setattr(offline, "opt_paging_profile", _must_not_run)
+        monkeypatch.setattr(sweep_module, "run", _must_not_run)
+        for n in (SWEEP_N_CAP + 1, 10**9):
+            with pytest.raises(ValueError, match=f"n must be between 1 and {SWEEP_N_CAP}"):
+                sweep(generate_cyclic(3, 12), ["lru", "fifo"], n)
+
+    def test_n_at_cap_runs(self):
+        table = sweep(generate_cyclic(3, 6), ["lru"], SWEEP_N_CAP)
+        assert len(table.rows) == SWEEP_N_CAP and table.rows[-1].costs == {"lru": 0}
 
     def test_flow_cap_checked_before_running(self, monkeypatch):
         t = generate_cyclic(2, offline.FLOW_CAP + 1)
@@ -139,13 +154,26 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"strategy '{repeated}' given twice"):
             sweep(generate_cyclic(3, 12), strategies, 2)
 
-    def test_mark_mean_and_stderr(self):
+    def test_mark_mean_is_exact(self):
         t = generate_cyclic(6, 80)
         table = sweep(t, ["mark"], 4, mark_trials=25, seed=9)
         for row in table.rows:
             mean = row.costs["mark"]
-            assert isinstance(mean, Fraction)
-            assert row.stderr["mark"] >= 0.0
+            assert isinstance(mean, Fraction) and (mean * 25).denominator == 1
+
+    def test_mark_memory_does_not_grow_with_trials(self):
+        """The trials' costs add into one integer: no list of samples."""
+        t = generate_cyclic(5, 40)
+        sweep(t, ["mark"], 2, mark_trials=1)  # leave first-call allocations out
+        peaks = []
+        for trials in (100, 2000):
+            tracemalloc.start()
+            try:
+                sweep(t, ["mark"], 2, mark_trials=trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_validation(self):
         t = generate_cyclic(3, 10)
@@ -229,6 +257,16 @@ class TestViolators:
         fam = parse_family("log:1/100")
         for d in (1, Fraction(10**400)):
             assert count_violators(table, "x", fam, d).count == 0
+
+    def test_floor_when_n_to_the_d_just_overflows(self):
+        # n^d = 2^1030 overflows a float, yet with opt1 = 1e308 the floor is
+        # about 0.0087 and keeps a marking mean of 1/1000 out
+        row = SweepRow(1, 1, 0, Fraction(0), {"mark": Fraction(1, 1000)})
+        table = SweepTable(2, ("mark",), "flow", (row,), opt1=10**308)
+        fam = parse_family("log:1/10000")
+        assert count_violators(table, "mark", fam, 1030).count == 0
+        for d in (1100, Fraction(10**400)):  # floors of 7e-24 and 0
+            assert count_violators(table, "mark", fam, d).count == 1
 
     def test_unknown_strategy_rejected(self):
         table = sweep(generate_cyclic(3, 12), ["lru"], 2)
@@ -317,23 +355,17 @@ def reference_sweep(trace, strategies, n, opt_method="auto", mark_trials=100, se
     rows = []
     for k in range(1, n + 1):
         p = partition(trace, k)
-        costs, stderr = {}, {}
+        costs = {}
         for name in names:
             if name == "mark":
                 samples = [
                     run(name, k, trace, seed=_mark_trial_seed(seed, k, t)).total_cost
                     for t in range(mark_trials)
                 ]
-                mean = Fraction(sum(samples), len(samples))
-                costs[name] = mean
-                if len(samples) > 1:
-                    var = sum((s - mean) ** 2 for s in samples) / (len(samples) - 1)
-                    stderr[name] = math.sqrt(float(var) / len(samples))
-                else:
-                    stderr[name] = 0.0
+                costs[name] = Fraction(sum(samples), len(samples))
             else:
                 costs[name] = run(name, k, trace, seed=seed).total_cost
-        rows.append(SweepRow(k, opt_costs[k - 1], p.num_phases, p.avenew, costs, stderr))
+        rows.append(SweepRow(k, opt_costs[k - 1], p.num_phases, p.avenew, costs))
     return SweepTable(
         n, tuple(names), method, tuple(rows), offline.opt_single_server(trace)
     )
@@ -445,4 +477,4 @@ class TestSharedWork:
         for row in table.rows[4:]:
             assert row.opt_cost == 0 and row.num_phases == 0 and row.avenew == 0
             assert row.costs == {"lru": 0, "fifo": 0, "fwf": 0, "mark": 0}
-            assert type(row.costs["mark"]) is Fraction and row.stderr == {"mark": 0.0}
+            assert type(row.costs["mark"]) is Fraction

@@ -11,27 +11,34 @@ other OSError, infeasible method, sweep n above ``SWEEP_N_CAP``), 2
 usage error, 3 certificate check failure, 141 stdout closed before all
 output was written (as for a process killed by SIGPIPE, e.g.
 ``cachecomp sweep ... | head``).
+
+A process loads only the layers its subcommand runs: ``optimal`` loads
+``trace`` and ``offline``, and ``sweep`` is the only subcommand that
+loads ``sweep``.  Layers and the names taken from ``sweep`` are bound on
+first use (``__getattr__``); a handler binds what it calls and then
+looks it up here, so a name replaced on this module is the one called.
+The values ``--opt`` and ``--policy`` accept are read from their owners
+only when the flag is parsed or its help is printed, so building the
+parser loads no layer.  ``--n``'s help does not print the cap; an
+``--n`` above it is a domain error that states it.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
-from fractions import Fraction
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import dualcert, offline, phases, strategies
-from .strategies import DEFAULT_SEED
-from .sweep import (
-    SWEEP_N_CAP,
-    count_violators,
-    gnuplot_script,
-    parse_family,
-    sweep as run_sweep,
-    table_to_csv,
-)
 from .trace import RequestTrace, parse_trace
+
+if TYPE_CHECKING:  # bound on first use, see __getattr__
+    from . import dualcert, offline, phases, strategies
+    from .sweep import count_violators, gnuplot_script, parse_family, table_to_csv
+    from .sweep import sweep as run_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -39,6 +46,64 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 CERT_FAILURE = 3
 BROKEN_PIPE = 141
+
+# name -> (submodule, attribute; None for the submodule itself)
+_LAZY = {
+    "dualcert": ("dualcert", None),
+    "offline": ("offline", None),
+    "phases": ("phases", None),
+    "strategies": ("strategies", None),
+    "run_sweep": ("sweep", "sweep"),
+    "count_violators": ("sweep", "count_violators"),
+    "gnuplot_script": ("sweep", "gnuplot_script"),
+    "parse_family": ("sweep", "parse_family"),
+    "table_to_csv": ("sweep", "table_to_csv"),
+}
+
+
+def __getattr__(name: str):
+    """Load a layer, or a name from ``sweep``, on first use (PEP 562)."""
+    try:
+        module, attr = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = importlib.import_module(f".{module}", __package__)
+    if attr is not None:
+        value = getattr(value, attr)
+    globals()[name] = value
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Bind ``names`` as globals here.  A name bound already, also one a
+    test or a tracer replaced, is kept, so handlers call what it holds."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
+
+
+class _Owned:
+    """The values a flag accepts, read from the layer that owns them when
+    the flag is parsed or its help printed, so that building the parser
+    loads no layer.  They are set as ``choices`` after ``add_argument``,
+    which would read them to check the flag's metavar."""
+
+    def __init__(self, module: str, values: Callable[[object], tuple[str, ...]]):
+        self._module = module
+        self._values = values
+
+    def _get(self) -> tuple[str, ...]:
+        return self._values(importlib.import_module(f".{self._module}", __package__))
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._get()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._get())
+
+
+_OPT_CHOICES = _Owned("offline", lambda m: m.OPT_METHODS)
+_POLICY_CHOICES = _Owned("strategies", lambda m: (m.MAX_LOWER, m.MIN_LOWER))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,37 +130,33 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="lru | fifo | fwf | balance | mark | greedydual[:max|:min]",
     )
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sim.add_argument("--seed", type=int)
 
     p_opt = sub.add_parser("optimal", help="offline optimal cost and schedule")
     add_common(p_opt, verbose=True)
     p_opt.add_argument(
-        "--opt", choices=offline.OPT_METHODS, default="auto",
-        help="solver: belady needs unit weights; auto picks per trace",
-    )
+        "--opt", default="auto", help="solver: belady needs unit weights; auto picks per trace",
+    ).choices = _OPT_CHOICES
 
     p_cert = sub.add_parser(
         "certify", help="run greedydual and verify its dual certificate"
     )
     add_common(p_cert)
     p_cert.add_argument("--h", type=int, default=None, help="offline servers (default k)")
-    p_cert.add_argument(
-        "--policy", choices=(strategies.MAX_LOWER, strategies.MIN_LOWER),
-        default=strategies.MAX_LOWER,
-    )
+    p_cert.add_argument("--policy").choices = _POLICY_CHOICES
 
     p_ph = sub.add_parser("phases", help="k-phase decomposition statistics")
     add_common(p_ph, verbose=True)
 
     p_sw = sub.add_parser("sweep", help="sweep k from 1..n over strategies")
     add_common(p_sw, need_k=False)
-    p_sw.add_argument("--n", type=int, required=True, help=f"largest k, <= {SWEEP_N_CAP}")
+    p_sw.add_argument("--n", type=int, required=True, help="largest k")
     p_sw.add_argument(
         "--strategies", required=True, help="comma-separated strategy list"
     )
-    p_sw.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sw.add_argument("--seed", type=int)
     p_sw.add_argument("--trials", type=int, default=100, help="mark sample count")
-    p_sw.add_argument("--opt", choices=offline.OPT_METHODS, default="auto")
+    p_sw.add_argument("--opt", default="auto").choices = _OPT_CHOICES
     p_sw.add_argument("--c-family", dest="c_family", default=None,
                       help="ratio family log:A | loglog:B | const:C")
     p_sw.add_argument("--d", default="1", help="significance exponent (rational)")
@@ -119,8 +180,10 @@ def _emit(summary: list[str], text: str | None, out: str | None) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _bind("strategies")
     trace = _load_trace(args.trace)
-    result = strategies.run(args.strategy, args.k, trace, seed=args.seed)
+    seed = strategies.DEFAULT_SEED if args.seed is None else args.seed
+    result = strategies.run(args.strategy, args.k, trace, seed=seed)
     text = None
     if args.out or args.verbose:
         lines = ["index,node,kind,evicted,cost"]
@@ -134,6 +197,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimal(args: argparse.Namespace) -> int:
+    _bind("offline")
     trace = _load_trace(args.trace)
     method = offline.resolve_opt_method(trace, args.opt)
     if args.out and method == "belady":
@@ -158,12 +222,16 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    _bind("dualcert", "strategies")
     trace = _load_trace(args.trace)
+    policy = strategies.MAX_LOWER if args.policy is None else args.policy
     k = args.k
     h = args.h if args.h is not None else k
     if not 1 <= h <= k:
         raise ValueError(f"need 1 <= h <= k, got h={h} k={k}")
-    run = dualcert.run_greedydual_certified(trace, k, args.policy)
+    run = dualcert.run_greedydual_certified(trace, k, policy)
     if args.out:  # before the summary, so a failed write prints no verdict
         with open(args.out, "w", encoding="utf-8") as fp:
             dualcert.write_certificate(run, fp)
@@ -171,7 +239,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     feasible = not violations
     bound_ok = dualcert.check_primal_dual_bound(run, h)
     dc = dualcert.dual_cost(run.dual, h)
-    print(f"policy {args.policy}")
+    print(f"policy {policy}")
     print(f"k {k}")
     print(f"h {h}")
     print(f"cost {run.result.total_cost}")
@@ -185,6 +253,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_phases(args: argparse.Namespace) -> int:
+    _bind("phases")
     trace = _load_trace(args.trace)
     p = phases.partition(trace, args.k)
     avenew = f"{p.avenew}" if p.avenew_defined else "undefined"
@@ -207,6 +276,10 @@ def _cmd_phases(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    _bind("strategies", "run_sweep", "count_violators", "table_to_csv", "parse_family",
+          "gnuplot_script")
     trace = _load_trace(args.trace)
     specs = [s for s in args.strategies.split(",") if s.strip()]
     if not specs:
@@ -226,7 +299,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.n,
         opt_method=args.opt,
         mark_trials=args.trials,
-        seed=args.seed,
+        seed=strategies.DEFAULT_SEED if args.seed is None else args.seed,
     )
     summary = [f"n {table.n}", f"opt_method {table.opt_method}", f"opt1 {table.opt1}"]
     if family is not None:

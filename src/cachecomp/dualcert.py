@@ -188,7 +188,9 @@ def run_greedydual_certified(
     """Run GreedyDual and certify it; see the module docstring.
 
     ``strategies.run_greedydual``'s label loop makes every decision, so
-    the event log is that function's.  One replay of the log rebuilds the
+    the event log is that function's.  The loop records the label offset
+    only at paid moves, where it changes; ``_greedydual`` expands it to one
+    offset per request for the replay.  One replay of the log rebuilds the
     served multiset and (a, b) and raises ``CertificateError`` if an
     invariant fails at any request.
     """

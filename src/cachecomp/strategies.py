@@ -9,7 +9,7 @@ pays for every node it unplaces.
 Each engine only decides: it walks the trace with O(1) or O(log k) work
 per request and records the paid decisions.  LRU and FIFO share an O(1)
 recency engine.  Balance runs on GreedyDual's label engine, as its
-min-lowering with ties by server id (see ``_greedydual``).
+min-lowering with ties by server id (see ``_label_loop``).
 Flush-when-full, which flushes at every k-phase boundary after the
 first, is read off ``phases.partition`` (``fwf_cost``).  Randomized
 marking is a phase stream and a replay: ``mark_stream`` records each
@@ -316,15 +316,36 @@ def run_greedydual(
     Labels are kept lazily against a global offset, so a relabel is O(1);
     observable behavior equals eager subtraction.
     """
-    return _greedydual(trace, k, relabel)[0]
+    return _label_loop(trace, k, relabel)
 
 
 def _greedydual(
     trace: RequestTrace, k: int, relabel: str, by_id: bool = False
 ) -> tuple[SimulationResult, list[int]]:
-    """The label loop of ``run_greedydual``, also returning the offset (the
-    dual's cumulative raise, see ``dualcert``) at the start of each request
-    followed by the final offset.
+    """``_label_loop``'s run, also returning the offset (the dual's
+    cumulative raise, see ``dualcert``) at the start of each request
+    followed by the final offset.  The offset changes only at paid moves,
+    so the loop records it there and this expands it."""
+    levels: list[int] = []
+    result = _label_loop(trace, k, relabel, by_id, levels)
+    offsets: list[int] = []
+    offset = 0
+    for (i, _), level in zip(result.paid, levels):
+        offsets.extend([offset] * (i + 1 - len(offsets)))
+        offset = level
+    offsets.extend([offset] * (len(trace) + 1 - len(offsets)))
+    return result, offsets
+
+
+def _label_loop(
+    trace: RequestTrace,
+    k: int,
+    relabel: str,
+    by_id: bool = False,
+    levels: list[int] | None = None,
+) -> SimulationResult:
+    """The label loop of ``run_greedydual``.  Given ``levels``, it appends
+    the offset after each paid move.
 
     A relabel lands the offset on the least stored H (or L), so the victim
     is the heap minimum of (H, last touch, id) under "max" or (L, last
@@ -347,10 +368,8 @@ def _greedydual(
     where: dict[int, int] = {}  # node -> server id
     stamp: list[int] = []  # last touch ("max"), last move ("min") or id (Balance)
     heap: list[tuple[int, int, int, int]] = []  # (stored label, stamp, id, node)
-    offsets: list[int] = []
     paid = []
     for i, v in enumerate(trace.requests):
-        offsets.append(offset)
         s = where.get(v)
         if s is None and len(where) < k:
             s = len(where)
@@ -361,6 +380,8 @@ def _greedydual(
                 heapq.heappop(heap)
             offset, _, s, u = heap[0]
             paid.append((i, u))
+            if levels is not None:
+                levels.append(offset)
             del where[u]
             stamp[s] = s if by_id else i
             heapq.heapreplace(heap, (weights[v] + offset, stamp[s], s, v))
@@ -373,9 +394,8 @@ def _greedydual(
         else:
             continue
         where[v] = s
-    offsets.append(offset)
     name = "balance" if by_id else f"greedydual:{relabel}"
-    return _result(name, k, trace, paid), offsets
+    return _result(name, k, trace, paid)
 
 
 def run(
@@ -393,7 +413,7 @@ def run(
     if name.startswith("greedydual:"):
         return run_greedydual(trace, k, name.partition(":")[2])
     if name == "balance":
-        return _greedydual(trace, k, MIN_LOWER, by_id=True)[0]
+        return _label_loop(trace, k, MIN_LOWER, by_id=True)
     if name in ("lru", "fifo"):
         paid = _run_recency(trace, k, refresh=name == "lru")
     elif name == "fwf":

@@ -45,3 +45,28 @@ def test_strategy_run_counts():
     got = COUNTS["strategies.run"](("fwf", 3, t), {}, run("fwf", 3, t))
     assert got["strategy"] == "fwf" and got["requests"] == len(t)
     assert got["events"] == len(t) + got["moves"]  # a flush adds a free event
+
+
+def test_sweep_calls_the_cli_attributes_the_tracer_wraps(monkeypatch, tmp_path, capsys):
+    # the tracer replaces these cli attributes; a handler that called its
+    # own import of them would leave the sweep.* and trace.parse spans empty
+    from cachecomp import cli
+
+    wrapped = {a for m, a, _, _ in spans.TARGETS if m == "cli" and a != "main"}
+    assert wrapped == {"parse_trace", "run_sweep", "count_violators", "table_to_csv"}
+    calls = []
+    for attr in sorted(wrapped):
+        real = getattr(cli, attr)
+
+        def recorder(*args, _real=real, _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, attr, recorder)
+    path = tmp_path / "t.txt"
+    path.write_text("a\nb\nc\na\n", encoding="utf-8")
+    argv = ["sweep", "--trace", str(path), "--n", "3", "--strategies", "lru,fifo",
+            "--c-family", "log:4"]
+    assert cli.main(argv) == 0
+    assert "violators lru" in capsys.readouterr().out
+    assert set(calls) == wrapped

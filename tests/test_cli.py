@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cachecomp import cli
 from cachecomp.strategies import run
 from cachecomp.trace import parse_trace
+from test_exports import run_fresh
 
 
 @pytest.fixture
@@ -402,3 +403,56 @@ class TestDeterminism:
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def loaded_in_fresh_interpreter(code: str) -> set[str]:
+    """The ``cachecomp`` modules a new interpreter holds after ``code``."""
+    proc = run_fresh(
+        "import contextlib, io, sys\n"
+        f"{code}\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'cachecomp'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestColdStart:
+    """Each subcommand loads only the layers it runs."""
+
+    @pytest.mark.parametrize(
+        "argv, layers",
+        [
+            (["simulate", "--strategy", "lru", "--k", "2"], {"strategies", "phases"}),
+            (["optimal", "--k", "2"], {"offline"}),
+            (["certify", "--k", "2"], {"dualcert", "strategies", "phases"}),
+            (["phases", "--k", "2"], {"phases"}),
+            (
+                ["sweep", "--n", "3", "--strategies", "lru,mark", "--c-family", "log:4"],
+                {"sweep", "offline", "strategies", "phases"},
+            ),
+        ],
+        ids=["simulate", "optimal", "certify", "phases", "sweep"],
+    )
+    def test_subcommand_loads_its_layers(self, trace_file, argv, layers):
+        code = (
+            "from cachecomp import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({[*argv, '--trace', trace_file]!r}) == 0"
+        )
+        expected = {"cachecomp", "cachecomp.cli", "cachecomp.trace"}
+        assert loaded_in_fresh_interpreter(code) == expected | {f"cachecomp.{m}" for m in layers}
+
+    def test_parser_loads_no_layer(self):
+        code = "from cachecomp import cli\ncli.build_parser()"
+        assert loaded_in_fresh_interpreter(code) == {"cachecomp", "cachecomp.cli", "cachecomp.trace"}
+
+    @pytest.mark.parametrize("command", [None, "simulate", "optimal", "certify", "phases", "sweep"])
+    def test_help_lists_accepted_values(self, capsys, command):
+        from cachecomp.offline import OPT_METHODS
+        from cachecomp.strategies import MAX_LOWER, MIN_LOWER
+
+        code, out, _ = run_cli(capsys, *([command] if command else []), "--help")
+        assert code == 0 and out.startswith("usage: cachecomp")
+        opt = "{" + ",".join(OPT_METHODS) + "}"
+        assert (opt in out) == (command in ("optimal", "sweep"))
+        assert (f"{{{MAX_LOWER},{MIN_LOWER}}}" in out) == (command == "certify")

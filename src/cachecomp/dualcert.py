@@ -59,9 +59,9 @@ state.  The certified run therefore holds O(N + k) memory, and
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
-from typing import TextIO, TypeVar
+from typing import NamedTuple, TextIO, TypeVar
 
 from .strategies import (
     FREE,
@@ -71,7 +71,7 @@ from .strategies import (
     SimulationResult,
     _greedydual,
 )
-from .trace import RequestTrace
+from .trace import RequestTrace, _Record
 
 _Entry = TypeVar("_Entry")
 
@@ -99,8 +99,7 @@ class CertificateError(AssertionError):
     """A certified-run invariant failed (never expected on valid inputs)."""
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(_Record):
     """Dual vectors for a trace of N user requests.
 
     ``a`` has length N+1 (indices 0..N; a[N] is vacuous and always 0 in
@@ -109,13 +108,13 @@ class DualSolution:
     ``check_feasibility`` reports their violations as data.
     """
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if len(self.a) != len(self.b):
+    def __init__(self, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+        self._assign(a, b)
+        if len(a) != len(b):
             raise ValueError("a and b must both have length N+1")
-        if not self.a:
+        if not a:
             raise ValueError("vectors must have length >= 1")
 
     @property
@@ -123,8 +122,7 @@ class DualSolution:
         return len(self.a) - 1
 
 
-@dataclass(frozen=True)
-class ServedEntry:
+class ServedEntry(NamedTuple):
     """One served request ``i`` whose server last moved at request
     ``moved``.  Indices are 1-based; the artificial request 0 appears via
     StepRecord.zero_mult instead."""
@@ -133,8 +131,7 @@ class ServedEntry:
     moved: int
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """State after one request: unplaced servers, cumulative raise, paid
     distance, and the served-set term of the certified bound.  The served
     multiset itself is rebuilt in request order (``served_steps``)."""
@@ -145,8 +142,7 @@ class StepRecord:
     served_b_sum: int
 
 
-@dataclass(frozen=True)
-class CertifiedRun:
+class CertifiedRun(NamedTuple):
     """A certified GreedyDual run; ``result`` holds its trace and k."""
 
     result: SimulationResult
@@ -219,6 +215,10 @@ def _replay(
     # node -> entry; re-inserted on every request, so values stay ordered by i
     served: dict[int, ServedEntry] = {}
     sum_served_b = 0  # sum over S of current b[moved+1] (zero entries: b[1])
+    # (w(r_i) + offsets[i], entry of i, r_i) per served request i, so that
+    # b[i+1] <= w(r_i) while raised <= that cap.  An entry that is no longer
+    # its node's is stale: dropped from the top, and all of them at 2k.
+    caps: list[tuple[int, ServedEntry, int]] = []
     distance = 0
     history: list[StepRecord] = []
 
@@ -239,11 +239,12 @@ def _replay(
         if rho:
             relabels.append((idx, rho))
             sum_served_b += k * rho
-            for e in served.values():
-                if raised - offsets[e.i] > weights[reqs[e.i - 1]]:
-                    raise CertificateError(
-                        f"b[{e.i + 1}] exceeds served weight after raise at {idx}"
-                    )
+            while caps and served.get(caps[0][2]) is not caps[0][1]:
+                heapq.heappop(caps)
+            if caps and raised > caps[0][0]:
+                raise CertificateError(
+                    f"b[{caps[0][1].i + 1}] exceeds served weight after raise at {idx}"
+                )
 
         if old is not None:
             moved = old.moved
@@ -265,7 +266,11 @@ def _replay(
             sum_served_b -= victim_b
             distance += ev.cost
             moved = idx
-        served[v] = ServedEntry(idx, moved)
+        served[v] = entry = ServedEntry(idx, moved)
+        if len(caps) >= 2 * k:
+            caps = [c for c in caps if served.get(c[2]) is c[1]]
+            heapq.heapify(caps)
+        heapq.heappush(caps, (weights[v] + offsets[idx], entry, v))
 
         if distance > k * raised - sum_served_b:
             raise CertificateError(
@@ -297,8 +302,7 @@ def dual_cost(dual: DualSolution, h: int) -> int:
     return -h * dual.a[0] - sum(dual.a[1:n]) + sum(dual.b[1:])
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken dual constraint; ``i`` is None for an a[j] >= 0 breach or
     (with j == 0) a non-monotone b reported by the fast check."""
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .trace import RequestTrace
 
@@ -79,8 +79,7 @@ class InstanceSizeError(ValueError):
     """Instance exceeds the flow solver's size cap, ``FLOW_CAP``."""
 
 
-@dataclass(frozen=True)
-class OptSchedule:
+class OptSchedule(NamedTuple):
     """A minimum-cost schedule.
 
     ``predecessor[j]`` (1-based over the trace, entry 0 unused) is the

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .trace import RequestTrace
 
@@ -63,8 +63,7 @@ def harmonic(n: int) -> Fraction | float:
     return math.log(n) + euler_gamma + 1 / (2 * n) - 1 / (12 * n * n)
 
 
-@dataclass(frozen=True)
-class PhasePartition:
+class PhasePartition(NamedTuple):
     """Phases of one trace for one k.
 
     ``boundaries[i]`` is the 0-based start index of phase i; phases run to

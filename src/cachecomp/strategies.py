@@ -33,11 +33,11 @@ import heapq
 import random
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .phases import PhasePartition, partition
-from .trace import RequestTrace
+from .trace import RequestTrace, _Record
 
 __all__ = [
     "HIT",
@@ -79,8 +79,7 @@ UNIT_WEIGHT_TWINS = {"greedydual:max": "lru", "greedydual:min": "fifo", "balance
 DEFAULT_SEED = 0
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One log entry.  ``index`` is the 0-based position in the trace.
 
     kind=="move" carries the evicted node and its weight as cost;
@@ -96,18 +95,26 @@ class Event:
     cost: int = 0
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(_Record):
     """A run: its cost and paid decisions, ``(request index, evicted node)``
     per move and ``(index, None)`` per flush.  The event log is expanded
     from these on first access, and the final placement from the log, so
-    neither costs O(k) unless the placement is read."""
+    neither costs O(k) unless the placement is read.  The repr omits the
+    trace."""
 
-    strategy: str
-    k: int
-    total_cost: int
-    paid: tuple[tuple[int, int | None], ...]
-    trace: RequestTrace = field(repr=False)
+    _fields = ("strategy", "k", "total_cost", "paid", "trace")
+    _hidden = ("trace",)
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached properties
+
+    def __init__(
+        self,
+        strategy: str,
+        k: int,
+        total_cost: int,
+        paid: tuple[tuple[int, int | None], ...],
+        trace: RequestTrace,
+    ) -> None:
+        self._assign(strategy, k, total_cost, paid, trace)
 
     @cached_property
     def events(self) -> tuple[Event, ...]:

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import offline
 from .phases import partition
@@ -45,7 +45,7 @@ from .strategies import (
     replay_mark,
     run,
 )
-from .trace import RequestTrace
+from .trace import RequestTrace, _Record
 
 __all__ = [
     "RatioFamily",
@@ -67,8 +67,7 @@ VIOLATOR_BOUND_CONSTANT = 8
 SWEEP_N_CAP = 100_000  # most values of k one sweep tabulates
 
 
-@dataclass(frozen=True)
-class RatioFamily:
+class RatioFamily(_Record):
     """Target competitive-ratio curve c(k).
 
     kinds (arguments are exact rationals; c must be positive at k = 1, and
@@ -82,10 +81,10 @@ class RatioFamily:
     (marking); ``premise_holds`` spot-checks the relevant one numerically.
     """
 
-    kind: str
-    param: Fraction
+    __slots__ = _fields = ("kind", "param")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, param: Fraction) -> None:
+        self._assign(kind, param)
         if self.kind not in ("log", "loglog", "const"):
             raise ValueError(f"unknown ratio family {self.kind!r}")
         if abs(self.param) > sys.float_info.max:  # thresholds are floats
@@ -127,8 +126,7 @@ def parse_family(text: str) -> RatioFamily:
     return RatioFamily(kind.strip().lower(), param)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     k: int
     opt_cost: int
     num_phases: int
@@ -136,8 +134,7 @@ class SweepRow:
     costs: dict[str, int | Fraction]  # strategy name -> cost (mark: exact mean)
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     n: int
     strategies: tuple[str, ...]
     opt_method: str
@@ -145,8 +142,7 @@ class SweepTable:
     opt1: int  # offline optimum with one server, computed directly
 
 
-@dataclass(frozen=True)
-class ViolatorReport:
+class ViolatorReport(NamedTuple):
     count: int
     ks: tuple[int, ...]
 

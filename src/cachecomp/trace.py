@@ -7,9 +7,6 @@ a trace with all weights equal to 1 is an ordinary paging trace.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
 __all__ = [
     "RequestTrace",
     "TraceParseError",
@@ -33,8 +30,49 @@ class TraceDomainError(ValueError):
     """Structurally valid input with an illegal value (e.g. weight <= 0)."""
 
 
-@dataclass(frozen=True)
-class RequestTrace:
+class _Record:
+    """Base of the records that validate or cache: immutable slots named
+    by ``_fields``, set once by ``_assign``; value equality (only with an
+    instance of the same class) and hashing over the fields, pickling
+    through the constructor, and a ``Name(field=value, ...)`` repr of
+    the fields not in ``_hidden``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def _assign(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        shown = (
+            f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._hidden
+        )
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+
+class RequestTrace(_Record):
     """An immutable request sequence over interned nodes.
 
     Node ids are dense integers 0..num_nodes-1, assigned in order of first
@@ -42,17 +80,18 @@ class RequestTrace:
     Instances are safe to share between threads.
     """
 
-    requests: tuple[int, ...]
-    weights: tuple[int, ...]
-    labels: tuple[str, ...]
+    __slots__ = _fields = ("requests", "weights", "labels")
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.labels):
+    def __init__(
+        self, requests: tuple[int, ...], weights: tuple[int, ...], labels: tuple[str, ...]
+    ) -> None:
+        self._assign(requests, weights, labels)
+        if len(weights) != len(labels):
             raise ValueError("weights and labels must have matching length")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise TraceDomainError("all node weights must be >= 1")
-        n = len(self.weights)
-        if any(not (0 <= v < n) for v in self.requests):
+        n = len(weights)
+        if any(not (0 <= v < n) for v in requests):
             raise ValueError("request to unknown node id")
 
     def __len__(self) -> int:
@@ -139,6 +178,8 @@ def generate_random(num_nodes: int, length: int, weight_max: int, seed: int) -> 
         raise ValueError("length must be >= 1")
     if weight_max < 1:
         raise ValueError("weight_max must be >= 1")
+    import random  # here, so loading a trace does not load ``random``
+
     rng = random.Random(seed)
     weights = tuple(rng.randint(1, weight_max) for _ in range(num_nodes))
     requests = tuple(rng.randrange(num_nodes) for _ in range(length))

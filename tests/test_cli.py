@@ -405,19 +405,38 @@ class TestDeterminism:
         assert out1 == out2
 
 
-def loaded_in_fresh_interpreter(code: str) -> set[str]:
-    """The ``cachecomp`` modules a new interpreter holds after ``code``."""
+def loaded_in_fresh_interpreter(code: str, *flags: str) -> set[str]:
+    """Every module a new interpreter, started with ``flags``, holds after
+    ``code``."""
     proc = run_fresh(
         "import contextlib, io, sys\n"
         f"{code}\n"
-        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'cachecomp'))"
+        "print(' '.join(sys.modules))",
+        *flags,
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
 
+def ours(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "cachecomp"}
+
+
+def cli_main_code(argv: list[str]) -> str:
+    return (
+        "from cachecomp import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0"
+    )
+
+
+# what the result records would pull in as dataclasses
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+
+
 class TestColdStart:
-    """Each subcommand loads only the layers it runs."""
+    """Each subcommand loads only the layers it runs, and no module that
+    declaring its records would need."""
 
     @pytest.mark.parametrize(
         "argv, layers",
@@ -434,17 +453,26 @@ class TestColdStart:
         ids=["simulate", "optimal", "certify", "phases", "sweep"],
     )
     def test_subcommand_loads_its_layers(self, trace_file, argv, layers):
-        code = (
-            "from cachecomp import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({[*argv, '--trace', trace_file]!r}) == 0"
-        )
+        loaded = loaded_in_fresh_interpreter(cli_main_code([*argv, "--trace", trace_file]))
         expected = {"cachecomp", "cachecomp.cli", "cachecomp.trace"}
-        assert loaded_in_fresh_interpreter(code) == expected | {f"cachecomp.{m}" for m in layers}
+        assert ours(loaded) == expected | {f"cachecomp.{m}" for m in layers}
+        assert not loaded & RECORD_MACHINERY
 
     def test_parser_loads_no_layer(self):
-        code = "from cachecomp import cli\ncli.build_parser()"
-        assert loaded_in_fresh_interpreter(code) == {"cachecomp", "cachecomp.cli", "cachecomp.trace"}
+        loaded = loaded_in_fresh_interpreter("from cachecomp import cli\ncli.build_parser()")
+        assert ours(loaded) == {"cachecomp", "cachecomp.cli", "cachecomp.trace"}
+        assert not loaded & RECORD_MACHINERY
+
+    @pytest.mark.parametrize(
+        "argv",
+        [None, ["optimal", "--k", "2"], ["phases", "--k", "2"]],
+        ids=["import", "optimal", "phases"],
+    )
+    def test_trace_loads_random_only_to_generate(self, trace_file, argv):
+        """Only ``generate_random`` imports ``random``.  ``-S`` skips
+        ``site``, whose ``.pth`` files may load it on their own."""
+        code = cli_main_code([*argv, "--trace", trace_file]) if argv else "import cachecomp.cli"
+        assert "random" not in loaded_in_fresh_interpreter(code, "-S")
 
     @pytest.mark.parametrize("command", [None, "simulate", "optimal", "certify", "phases", "sweep"])
     def test_help_lists_accepted_values(self, capsys, command):

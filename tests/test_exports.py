@@ -22,12 +22,13 @@ def test_exported_names_resolve(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this checkout's package."""
+def run_fresh(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter, started with the interpreter
+    ``flags``, that imports this checkout's package."""
     src = str(Path(cachecomp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
 
 

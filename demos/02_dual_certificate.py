@@ -34,7 +34,7 @@ print(f"greedydual cost: {cert.result.total_cost}")
 print()
 
 violations = check_feasibility(cert.dual, trace)
-print(f"dual feasibility (exhaustive O(N^2) check): {len(violations)} violations")
+print(f"dual feasibility (exact O(N) check): {len(violations)} violations")
 
 for h in range(1, K + 1):
     value = dual_cost(cert.dual, h)

@@ -30,7 +30,6 @@ weights.
 from __future__ import annotations
 
 import heapq
-import random
 from bisect import bisect_left
 from collections import OrderedDict
 from functools import cached_property
@@ -233,6 +232,8 @@ def replay_mark(stream: list, seed: int) -> list:
     CPython changes ``randrange``, the draw-equivalence test in
     ``test_strategies`` shows it; if it changes ``getrandbits``, the output
     pins show it too."""
+    import random  # here, so that only marking loads ``random``
+
     getrandbits = random.Random(seed).getrandbits
     paid = []
     for nodes, firsts in stream:

@@ -47,6 +47,7 @@ from cachecomp.sweep import (
     violator_bound_limit,
 )
 from cachecomp.trace import RequestTrace, generate_cyclic, generate_random
+from test_dualcert import exhaustive_check_feasibility
 
 CONSERVATIVE = ("lru", "fifo", "fwf")
 
@@ -56,13 +57,15 @@ def report(criterion: int, name: str, detail: str) -> None:
 
 
 def test_c01_dual_feasibility(corpus, certified_runs):
-    """Every certified run's final dual passes the exhaustive O(N^2)
-    feasibility check, across 200 runs (both policies, weights 1 and 10,
-    k = 1..10).  Runtime target: under 60 seconds total."""
+    """Every certified run's final dual passes the package's O(N)
+    feasibility check and the test suite's exhaustive O(N^2) oracle, which
+    tries every constraint, across 200 runs (both policies, weights 1 and
+    10, k = 1..10).  Runtime target: under 60 seconds total."""
     start = time.time()
     violations = 0
     for member, cert in zip(corpus, certified_runs):
         violations += len(check_feasibility(cert.dual, member.trace))
+        violations += len(exhaustive_check_feasibility(cert.dual, member.trace))
     elapsed = time.time() - start
     assert violations == 0
     assert elapsed < 60

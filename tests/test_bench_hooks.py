@@ -1,10 +1,13 @@
 """The benchmark's tracer, ``perfbench/spans.py``, wraps library functions
 by module and attribute name and reads a few fields off their results.
 These checks read its target list, so a rename or deletion in the library
-that would break ``perfbench/run.py --trace 1`` fails here first."""
+that would break ``perfbench/run.py --trace 1`` fails here first.  The
+benchmark's own self-tests run here too."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,8 @@ from cachecomp.dualcert import run_greedydual_certified
 from cachecomp.strategies import run
 from cachecomp.trace import generate_random
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -70,3 +74,13 @@ def test_sweep_calls_the_cli_attributes_the_tracer_wraps(monkeypatch, tmp_path, 
     assert cli.main(argv) == 0
     assert "violators lru" in capsys.readouterr().out
     assert set(calls) == wrapped
+
+
+def test_benchmark_selftest_passes():
+    # its certificate-tamper cases export certificates with this library,
+    # so a library change that breaks the benchmark's checks fails here
+    done = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "selftest.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -465,12 +465,18 @@ class TestColdStart:
 
     @pytest.mark.parametrize(
         "argv",
-        [None, ["optimal", "--k", "2"], ["phases", "--k", "2"]],
-        ids=["import", "optimal", "phases"],
+        [
+            None,
+            ["optimal", "--k", "2"],
+            ["phases", "--k", "2"],
+            ["certify", "--k", "2"],
+            ["simulate", "--strategy", "lru", "--k", "2"],
+        ],
+        ids=["import", "optimal", "phases", "certify", "simulate-lru"],
     )
     def test_trace_loads_random_only_to_generate(self, trace_file, argv):
-        """Only ``generate_random`` imports ``random``.  ``-S`` skips
-        ``site``, whose ``.pth`` files may load it on their own."""
+        """Only ``generate_random`` and marking import ``random``.  ``-S``
+        skips ``site``, whose ``.pth`` files may load it on their own."""
         code = cli_main_code([*argv, "--trace", trace_file]) if argv else "import cachecomp.cli"
         assert "random" not in loaded_in_fresh_interpreter(code, "-S")
 

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 STDOUT_SHA256 = {
     "01_strategies_tour.py": "7ec9204a5ddd1513bc8e4baf4dace4ddba57bb1a3e679103cf88247b7d5df46e",
-    "02_dual_certificate.py": "c71e1ccb04b12d48c863b5a76bf0e874044a2d7208f5f056fdf818052475b539",
+    "02_dual_certificate.py": "65d1850d0fd5b95bce67673346cfc82b4c36c29ef8ea342b0980db7429e8b0d7",
     "03_offline_optimum.py": "41541a3108948d5fea1367cbd76257da408d1749c5aac5e2543a56491aadecd5",
     "04_phase_structure.py": "6fa1fe1652595cce04becf8c9720b8ba454b3c7e3444561e7c42bdfe5499c917",
     "05_loose_competitiveness.py": "562c80ae8faed7dbd79b05b6c44d66292516d619d9256fa887305d2d27fae443",

@@ -12,6 +12,7 @@ from cachecomp.dualcert import (
     CertificateError,
     DualSolution,
     ServedEntry,
+    Violation,
     _replay,
     check_feasibility,
     check_feasibility_fast,
@@ -35,7 +36,7 @@ from cachecomp.strategies import (
     _greedydual,
     run_greedydual,
 )
-from cachecomp.trace import generate_random, parse_trace
+from cachecomp.trace import RequestTrace, generate_random, parse_trace
 from test_reference_strategies import traces
 
 ABCA = parse_trace("a\nb\nc\na\n")
@@ -69,49 +70,102 @@ class TestDualCost:
             dual_cost(DualSolution((0,), (0,)), 0)
 
 
+def exhaustive_check_feasibility(dual: DualSolution, trace: RequestTrace) -> list[Violation]:
+    """Exhaustive O(N^2) constraint check; an empty list means feasible."""
+    if dual.n != len(trace):
+        raise ValueError("dual solution and trace lengths differ")
+    out: list[Violation] = []
+    a, b = dual.a, dual.b
+    n = dual.n
+    for i in range(n + 1):
+        if a[i] < 0:
+            out.append(Violation(None, i, -a[i]))
+    reqs = trace.requests
+    weights = trace.weights
+    for i in range(n):
+        ai = a[i]
+        if i == 0:
+            for j in range(1, n + 1):
+                if b[j] - ai > 0:
+                    out.append(Violation(i, j, b[j] - ai))
+            continue
+        vi = reqs[i - 1]
+        wi = weights[vi]
+        for j in range(i + 1, n + 1):
+            d = 0 if reqs[j - 1] == vi else wi
+            if b[j] - ai > d:
+                out.append(Violation(i, j, b[j] - ai - d))
+    return out
+
+
+@st.composite
+def duals(draw):
+    """A trace and an arbitrary dual for it: random entries in [-3, 9] (so b
+    is seldom monotone), or a certified dual with at most one entry nudged."""
+    nodes = draw(st.integers(1, 4))  # few nodes, so that b values often tie
+    weights = draw(st.lists(st.integers(1, 9), min_size=nodes, max_size=nodes))
+    n = draw(st.integers(0, 40))  # a list strategy would stay near empty
+    requests = draw(st.lists(st.integers(0, nodes - 1), min_size=n, max_size=n))
+    trace = RequestTrace(tuple(requests), tuple(weights), tuple(f"n{v}" for v in range(nodes)))
+    if n and draw(st.booleans()):
+        dual = run_greedydual_certified(
+            trace, draw(st.integers(1, 8)), draw(st.sampled_from(POLICIES))
+        ).dual
+        a, b = list(dual.a), list(dual.b)
+        vec = draw(st.sampled_from([a, b]))
+        vec[draw(st.integers(0, n))] += draw(st.integers(-3, 3))
+    else:
+        entries = st.lists(st.integers(-3, 9), min_size=n + 1, max_size=n + 1)
+        a, b = draw(entries), draw(entries)
+    return trace, DualSolution(tuple(a), tuple(b))
+
+
 class TestFeasibility:
     def test_zero_dual_feasible(self):
         t = generate_random(3, 10, 4, seed=0)
         d = DualSolution((0,) * 11, (0,) * 11)
         assert check_feasibility(d, t) == []
-        assert check_feasibility_fast(d, t) == []
 
     def test_single_constraint_violation(self):
         # request 0 is the artificial node: d(r_0, r_1) = 0, so b[1] <= a[0]
         t = parse_trace("a\n")
         d = DualSolution((0, 0), (0, 1))
-        violations = check_feasibility(d, t)
-        assert len(violations) == 1 and violations[0].i == 0 and violations[0].j == 1
-        assert check_feasibility_fast(d, t)
+        assert check_feasibility(d, t) == [Violation(0, 1, 1)]
 
     def test_negative_a_reported(self):
         t = parse_trace("a\n")
         d = DualSolution((0, -2), (0, 0))
-        assert any(v.i is None for v in check_feasibility(d, t))
-        assert any(v.i is None for v in check_feasibility_fast(d, t))
+        assert check_feasibility(d, t) == [Violation(None, 1, 2)]
 
-    def test_fast_check_agrees_on_monotone_duals(self):
-        rng = random.Random(5)
-        for trial in range(60):
-            t, k, policy = random_case(trial, rng)
-            good = run_greedydual_certified(t, k, policy).dual
-            assert check_feasibility(good, t) == []
-            assert check_feasibility_fast(good, t) == []
-            # corrupt one a entry downward; b stays monotone, both checks
-            # must agree on feasible-vs-not
-            a = list(good.a)
-            idx = rng.randrange(len(a))
-            a[idx] -= rng.randint(1, 3)
-            bad = DualSolution(tuple(a), good.b)
-            full = check_feasibility(bad, t)
-            fast = check_feasibility_fast(bad, t)
-            assert bool(full) == bool(fast), (trial, full, fast)
-
-    def test_fast_check_flags_non_monotone_b(self):
+    def test_non_monotone_b_decided_exactly(self):
         t = parse_trace("a\nb\n")
         d = DualSolution((0, 0, 0), (0, 0, 1))
-        flags = check_feasibility_fast(d, t)
-        assert flags and flags[0].i is None and flags[0].j == 0
+        assert check_feasibility(d, t) == [Violation(0, 2, 1)]
+
+    def test_old_name_is_the_same_check(self):
+        assert check_feasibility_fast is check_feasibility
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=duals())
+    def test_matches_exhaustive_oracle(self, case):
+        """Against every constraint: the same verdict, only real violations,
+        and per i and constraint kind the largest excess (earliest j on
+        ties), in (i, j) order after the negative a entries."""
+        trace, dual = case
+        got = check_feasibility(dual, trace)
+        oracle = exhaustive_check_feasibility(dual, trace)
+        assert bool(got) == bool(oracle)
+        assert set(got) <= set(oracle)
+        worst: dict[tuple[int, bool], Violation] = {}
+        for v in oracle:
+            if v.i is not None:
+                # request 0 shares no node with a user request
+                same_node = v.i > 0 and trace.requests[v.j - 1] == trace.requests[v.i - 1]
+                key = (v.i, same_node)
+                if key not in worst or v.excess > worst[key].excess:
+                    worst[key] = v  # the oracle lists j ascending: ties keep the first
+        negative_a = [v for v in oracle if v.i is None]
+        assert got == negative_a + sorted(worst.values())
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

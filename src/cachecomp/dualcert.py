@@ -27,18 +27,22 @@ and per-server labels are L = w(r_i) - b[i'+1] and H = w(r_i) - b[i+1]
 for the request i the server currently satisfies, where i' is the request
 at which that server last moved.
 
-``run_greedydual_certified`` runs that one engine and replays its event
-log once.  The replay makes no decision; it rebuilds the served multiset
-and (a, b) and checks in exact arithmetic, at every request, that
+The offset changes only when the algorithm pays, so the run is fully
+described by its paid decisions and the offset each one lowers to.
+``run_greedydual_certified`` runs that one engine and replays those
+decisions once, walking the trace.  The replay makes no decision; it
+rebuilds the served multiset, the offset at each request and (a, b), and
+checks in exact arithmetic that
 
-  * each raise is non-negative, and zero on a hit and while unplaced
-    servers remain;
+  * a paid decision sits at exactly each miss that finds every server
+    placed, so a raise happens only there, and no offset decreases;
   * after a raise, b[i+1] <= w(r_i) for every served request i (H >= 0);
-  * the evicted server has L <= 0;
-  * paid distance <= k * (total raise) - sum over served requests i of
-    b[i'+1].
+  * the evicted server is served and has L <= 0;
+  * at every request, paid distance <= k * (total raise) - sum over
+    served requests i of b[i'+1];
+  * at the end, the paid distance is the run's total cost.
 
-With feasibility of (a, b) the last invariant certifies that the run
+With feasibility of (a, b) the running bound certifies that the run
 costs at most k/(k-h+1) times the offline optimum with h <= k servers,
 with no additive slack.  ``check_feasibility`` decides feasibility of any
 (a, b) exactly in one O(N) backward scan: for each request only the
@@ -51,12 +55,13 @@ lifts every live variable by the same amount, so after step s every b[j]
 with j <= s+1 and every a[i] of a request that has left S stands at its
 final value plus raised_s - R (``dual_at_step``, ``served_b_sum``).
 
-The served multiset is not kept per step.  Each event changes it by at
-most one removal and one insertion, so one O(N) walk of the event log
-rebuilds it in request order (``served_steps``; ``served_b_sum`` and
-``dual_at_step`` take that step's multiset), and a run keeps no walk
-state.  The certified run therefore holds O(N + k) memory, and
-``write_certificate`` streams the text certificate one line at a time.
+The served multiset is not kept per step.  Each request changes it by at
+most one removal and one insertion, so one O(N) walk of the trace beside
+the run's paid decisions rebuilds it in request order (``served_steps``;
+``served_b_sum`` and ``dual_at_step`` take that step's multiset), and a
+run keeps no walk state.  The certified run therefore holds O(N + k)
+memory, and ``write_certificate`` streams the text certificate one line
+at a time.
 """
 
 from __future__ import annotations
@@ -65,17 +70,11 @@ import heapq
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple, TextIO, TypeVar
 
-from .strategies import (
-    FREE,
-    HIT,
-    MAX_LOWER,
-    MOVE,
-    SimulationResult,
-    _greedydual,
-)
+from .strategies import FREE, HIT, MAX_LOWER, MOVE, SimulationResult, _label_loop
 from .trace import RequestTrace, _Record
 
 _Entry = TypeVar("_Entry")
+_NO_MOVE = (None, None)  # (request index, evicted node) once the decisions run out
 
 __all__ = [
     "DualSolution",
@@ -157,23 +156,25 @@ class CertifiedRun(NamedTuple):
 def _served_walk(
     result: SimulationResult, entry: Callable[[int, int], _Entry]
 ) -> Iterator[dict[int, _Entry]]:
-    """Rebuild the served multiset from a GreedyDual event log.
+    """Rebuild the served multiset from a GreedyDual run's paid decisions.
 
     Yields after each request one dict, updated in place, mapping each
     served node to ``entry(i, moved)`` for its 1-based request ``i`` and
-    the request ``moved`` at which its server last moved.  A request
-    re-inserts its node, so the values stay ordered by ``i``; the
-    unplaced servers are ``StepRecord.zero_mult``."""
+    the request ``moved`` at which its server last moved.  A miss moves
+    the server of the node its paid decision evicts, or places an unplaced
+    one when no decision is due.  A request re-inserts its node, so the
+    values stay ordered by ``i``; the unplaced servers are
+    ``StepRecord.zero_mult``."""
     served: dict[int, _Entry] = {}
     moved_at: dict[int, int] = {}
-    for idx, ev in enumerate(result.events, start=1):
-        v = ev.node
-        if ev.kind == HIT:
-            del served[v]
-        else:
+    decisions = iter(result.paid)
+    due, evicted = next(decisions, _NO_MOVE)
+    for idx, v in enumerate(result.trace.requests, start=1):
+        if served.pop(v, None) is None:
             moved_at[v] = idx
-            if ev.kind == MOVE:
-                del served[ev.evicted], moved_at[ev.evicted]
+            if idx - 1 == due:
+                del served[evicted], moved_at[evicted]
+                due, evicted = next(decisions, _NO_MOVE)
         served[v] = entry(idx, moved_at[v])
         yield served
 
@@ -185,31 +186,28 @@ def run_greedydual_certified(
 ) -> CertifiedRun:
     """Run GreedyDual and certify it; see the module docstring.
 
-    ``strategies.run_greedydual``'s label loop makes every decision, so
-    the event log is that function's.  The loop records the label offset
-    only at paid moves, where it changes; ``_greedydual`` expands it to one
-    offset per request for the replay.  One replay of the log rebuilds the
-    served multiset and (a, b) and raises ``CertificateError`` if an
-    invariant fails at any request.
+    ``strategies.run_greedydual``'s label loop makes every decision and
+    records, at each paid move, the label offset it lowers to.  One replay
+    of those decisions over the trace rebuilds the served multiset and
+    (a, b) and raises ``CertificateError`` if an invariant fails at any
+    request.
     """
-    result, offsets = _greedydual(trace, k, relabel)
-    return _replay(relabel, result, offsets)
+    levels: list[int] = []
+    return _replay(_label_loop(trace, k, relabel, levels=levels), levels)
 
 
-def _replay(
-    relabel: str,
-    result: SimulationResult,
-    offsets: list[int],
-) -> CertifiedRun:
-    """Certify the event log of ``result`` (on its trace, with its k)
-    given the label offset at the start of each request and the final
-    offset.  The offset is the cumulative raise: once request n has
+def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
+    """Certify the paid decisions of the GreedyDual run ``result`` (on its
+    trace, with its k and policy) given ``levels``, the label offset after
+    each paid move.  The offset is the cumulative raise.  The replay keeps
+    it after each request as ``offsets``, so that once request n has
     relabelled, raised = offsets[n] and the current b[j] for j <= n is
     raised - offsets[j-1]."""
     trace, k = result.trace, result.k
     n = len(trace)
-    reqs = trace.requests
     weights = trace.weights
+    if len(levels) != len(result.paid):
+        raise CertificateError(f"{len(levels)} levels for {len(result.paid)} paid moves")
 
     relabels: list[tuple[int, int]] = []
     leave_raise: dict[int, int] = {}
@@ -221,58 +219,55 @@ def _replay(
     # b[i+1] <= w(r_i) while raised <= that cap.  An entry that is no longer
     # its node's is stale: dropped from the top, and all of them at 2k.
     caps: list[tuple[int, ServedEntry, int]] = []
-    distance = 0
+    raised = distance = 0
+    offsets = [0]  # offsets[0] is the offset before request 1
     history: list[StepRecord] = []
+    decisions = zip(result.paid, levels)
+    (due, evicted), level = next(decisions, (_NO_MOVE, None))
 
-    for idx, ev in enumerate(result.events, start=1):
-        v = reqs[idx - 1]
-        raised = offsets[idx]
-        rho = raised - offsets[idx - 1]
+    for idx, v in enumerate(trace.requests, start=1):
         old = served.pop(v, None)
-        expected = HIT if old is not None else FREE if zero_mult else MOVE
-        if ev.node != v or ev.kind != expected:
-            raise CertificateError(f"event {ev} does not fit request {idx}")
-        if rho < 0:
-            raise CertificateError(f"negative raise {rho} at request {idx}")
-        if rho and (zero_mult > 0 or old is not None):
-            raise CertificateError(
-                f"non-zero raise at request {idx}, a hit or a free placement"
-            )
-        if rho:
-            relabels.append((idx, rho))
-            sum_served_b += k * rho
-            while caps and served.get(caps[0][2]) is not caps[0][1]:
-                heapq.heappop(caps)
-            if caps and raised > caps[0][0]:
-                raise CertificateError(
-                    f"b[{caps[0][1].i + 1}] exceeds served weight after raise at {idx}"
-                )
-
+        if (idx - 1 == due) != (old is None and not zero_mult):
+            raise CertificateError(f"paid decisions do not fit request {idx}")
         if old is not None:
             moved = old.moved
             leave_raise[old.i] = raised  # the superseded request exits S here
         elif zero_mult > 0:
             moved = idx
-            zero_mult -= 1
-            sum_served_b -= raised - offsets[0]
+            zero_mult -= 1  # no raise comes before the last placement: b[1] is 0
             if zero_mult == 0:
                 leave_raise[0] = raised
         else:
-            victim = served.pop(ev.evicted, None)
+            rho = level - raised
+            if rho < 0:
+                raise CertificateError(f"negative raise {rho} at request {idx}")
+            raised = level
+            if rho:
+                relabels.append((idx, rho))
+                sum_served_b += k * rho
+                while caps and served.get(caps[0][2]) is not caps[0][1]:
+                    heapq.heappop(caps)
+                if caps and raised > caps[0][0]:
+                    raise CertificateError(
+                        f"b[{caps[0][1].i + 1}] exceeds served weight after raise at {idx}"
+                    )
+            victim = served.pop(evicted, None)
             if victim is None:
                 raise CertificateError(f"request {idx} evicts an unserved node")
             victim_b = raised - offsets[victim.moved]
-            if weights[ev.evicted] > victim_b:
+            if weights[evicted] > victim_b:
                 raise CertificateError(f"evicted server has L > 0 at request {idx}")
             leave_raise[victim.i] = raised
             sum_served_b -= victim_b
-            distance += ev.cost
+            distance += weights[evicted]
             moved = idx
+            (due, evicted), level = next(decisions, (_NO_MOVE, None))
+        offsets.append(raised)
         served[v] = entry = ServedEntry(idx, moved)
         if len(caps) >= 2 * k:
             caps = [c for c in caps if served.get(c[2]) is c[1]]
             heapq.heapify(caps)
-        heapq.heappush(caps, (weights[v] + offsets[idx], entry, v))
+        heapq.heappush(caps, (weights[v] + raised, entry, v))
 
         if distance > k * raised - sum_served_b:
             raise CertificateError(
@@ -281,15 +276,18 @@ def _replay(
             )
         history.append(StepRecord(zero_mult, raised, distance, sum_served_b))
 
-    total = offsets[n]
+    if due is not None:
+        raise CertificateError(f"paid decisions do not fit: request {due + 1} is left over")
+    if distance != result.total_cost:
+        raise CertificateError(f"paid distance {distance} != total cost {result.total_cost}")
     a = [0] * (n + 1)
     for i, left in leave_raise.items():
-        a[i] = total - left
-    b = [0] + [total - x for x in offsets[:n]]
+        a[i] = raised - left
+    b = [0] + [raised - x for x in offsets[:n]]
     return CertifiedRun(
         result=result,
         dual=DualSolution(tuple(a), tuple(b)),
-        relabel=relabel,
+        relabel=result.strategy.partition(":")[2],
         history=tuple(history),
         relabels=tuple(relabels),
     )
@@ -367,8 +365,8 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
         cost <= k/(k-h+1) * dual_cost(h) - sum over served i of b[i'+1]
 
     evaluated exactly as (k-h+1)*cost <= k*dual_cost - (k-h+1)*sum(...).
-    The final served set comes from a fresh walk of the event log, not
-    from the replay's running sum.
+    The final served set comes from a fresh walk of the paid decisions,
+    not from the replay's running sum.
     """
     k = run.result.k
     if not 1 <= h <= k:
@@ -386,7 +384,8 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
 def served_steps(run: CertifiedRun) -> Iterator[tuple[ServedEntry, ...]]:
     """The served multiset after each request, in request order, each
     ordered by request; the unplaced servers after step s are
-    ``run.history[s].zero_mult``.  One walk of the event log, O(k) per step."""
+    ``run.history[s].zero_mult``.  One walk of the paid decisions, O(k) per
+    step."""
     for served in _served_walk(run.result, ServedEntry):
         yield tuple(served.values())
 
@@ -432,7 +431,9 @@ def dual_at_step(
 
 def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     """The v1 text certificate, one newline-terminated line at a time.
-    Each ``i:moved`` token is formatted once, when its entry is created."""
+    Each ``i:moved`` token is formatted once, when its entry is created.
+    A step places a server when ``zero_mult`` drops and pays when the
+    distance rises, by its cost (every weight is >= 1); else it is a hit."""
     result = run.result
     trace = result.trace
     yield "cachecomp-certificate 1\n"
@@ -446,13 +447,15 @@ def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     yield "a " + " ".join(map(str, run.dual.a)) + "\n"
     yield "b " + " ".join(map(str, run.dual.b[1:])) + "\n"
     walk = _served_walk(result, "{}:{}".format)
-    for t, (rec, ev, served) in enumerate(
-        zip(run.history, result.events, walk), start=1
-    ):
+    unplaced, distance = result.k, 0
+    for t, (rec, served) in enumerate(zip(run.history, walk), start=1):
+        kind = FREE if rec.zero_mult < unplaced else MOVE if rec.distance > distance else HIT
+        cost = rec.distance - distance
+        unplaced, distance = rec.zero_mult, rec.distance
         # the requested node is served after every step, so S is never empty
         zero = f"0*{rec.zero_mult}," if rec.zero_mult else ""
         yield (
-            f"step {t} kind={ev.kind} cost={ev.cost} raised={rec.raised} "
+            f"step {t} kind={kind} cost={cost} raised={rec.raised} "
             f"dist={rec.distance} S={zero}" + ",".join(served.values()) + "\n"
         )
 

@@ -327,24 +327,6 @@ def run_greedydual(
     return _label_loop(trace, k, relabel)
 
 
-def _greedydual(
-    trace: RequestTrace, k: int, relabel: str, by_id: bool = False
-) -> tuple[SimulationResult, list[int]]:
-    """``_label_loop``'s run, also returning the offset (the dual's
-    cumulative raise, see ``dualcert``) at the start of each request
-    followed by the final offset.  The offset changes only at paid moves,
-    so the loop records it there and this expands it."""
-    levels: list[int] = []
-    result = _label_loop(trace, k, relabel, by_id, levels)
-    offsets: list[int] = []
-    offset = 0
-    for (i, _), level in zip(result.paid, levels):
-        offsets.extend([offset] * (i + 1 - len(offsets)))
-        offset = level
-    offsets.extend([offset] * (len(trace) + 1 - len(offsets)))
-    return result, offsets
-
-
 def _label_loop(
     trace: RequestTrace,
     k: int,

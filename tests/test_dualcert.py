@@ -2,7 +2,6 @@ import hashlib
 import io
 import random
 import tracemalloc
-import types
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +32,7 @@ from cachecomp.strategies import (
     MIN_LOWER,
     MOVE,
     SimulationResult,
-    _greedydual,
+    _label_loop,
     run_greedydual,
 )
 from cachecomp.trace import RequestTrace, generate_random, parse_trace
@@ -294,53 +293,85 @@ class TestCertifiedRun:
                 run_greedydual_certified(ABCA, 2, policy)
 
 
-def _negative_last_raise(events, offsets):
-    return events, offsets[:-1] + [offsets[-2] - 1]
+def _rebuilt(result, paid, cost=None):
+    """``result`` with other paid decisions, costed as the engine costs
+    them unless ``cost`` is given."""
+    if cost is None:
+        cost = sum(result.trace.weights[u] for _, u in paid)
+    return SimulationResult(result.strategy, result.k, cost, tuple(paid), result.trace)
+
+
+def _negative_last_raise(result, levels):
+    return result, levels[:-1] + [levels[-2] - 1]
 
 
 def _raise_from(j):
-    def corrupt(events, offsets):
-        return events, offsets[:j] + [x + 1 for x in offsets[j:]]
+    def corrupt(result, levels):
+        return result, levels[:j] + [x + 1 for x in levels[j:]]
 
     return corrupt
 
 
-def _evict_heavy(events, offsets):
+def _evict_heavy(result, levels):
     # "a 5, b, c" with k=2 evicts b (L = 0); a still has L = 4
-    move = events[2]._replace(evicted=0, cost=5)
-    return events[:2] + [move], offsets
+    return _rebuilt(result, [(i, 0) for i, _ in result.paid]), levels
 
 
-def _free_as_hit(events, offsets):
-    return [events[0]._replace(kind=HIT)] + events[1:], offsets
+def _evict_requested(result, levels):
+    # "a 5, b, c" with k=2: c, the requested node, is not served
+    return _rebuilt(result, [(i, 2) for i, _ in result.paid]), levels
+
+
+def _move_while_unplaced(result, levels):
+    # "a, b" with k=2: a paid move at request 2, while a server is unplaced
+    return _rebuilt(result, ((1, 0),)), [0]
+
+
+def _move_past_end(result, levels):
+    # "a, b, c" with k=2: a second paid move, at request 4 of 3
+    return _rebuilt(result, result.paid + ((3, 0),)), levels * 2
+
+
+def _drop_first_move(result, levels):
+    return _rebuilt(result, result.paid[1:]), levels[1:]
+
+
+def _drop_last_level(result, levels):
+    return result, levels[:-1]
+
+
+def _cost_plus_one(result, levels):
+    return _rebuilt(result, result.paid, result.total_cost + 1), levels
 
 
 class TestReplayChecks:
-    """The replay rejects offsets or event logs that break an invariant."""
+    """The replay rejects paid decisions, levels or a cost that break an
+    invariant."""
 
     @pytest.mark.parametrize(
         "text, k, corrupt, message",
         [
             ("a\nb\nc\na\n", 2, _negative_last_raise, "negative raise"),
-            ("a\nb\nc\na\n", 3, _raise_from(2), "non-zero raise"),
-            ("a\nb\nc\na\n", 3, _raise_from(4), "non-zero raise"),
-            ("a 5\nb\nc\n", 2, _evict_heavy, "L > 0"),
-            ("a 5\nb\nc\n", 2, _raise_from(3), "exceeds served weight"),
+            ("a 5\nb\nc\n", 2, _raise_from(0), "exceeds served weight"),
             # only b, the middle of the three served requests, is exceeded
-            ("a 5\nb\nc 5\nd\n", 3, _raise_from(4), r"b\[3\] exceeds served weight"),
-            ("a\nb\n", 2, _free_as_hit, "does not fit"),
+            ("a 5\nb\nc 5\nd\n", 3, _raise_from(0), r"b\[3\] exceeds served weight"),
+            ("a 5\nb\nc\n", 2, _evict_heavy, "L > 0"),
+            ("a 5\nb\nc\n", 2, _evict_requested, "evicts an unserved node"),
+            ("a\nb\n", 2, _move_while_unplaced, "do not fit request 2"),
+            ("a\nb\nc\na\n", 2, _drop_first_move, "do not fit request 3"),
+            ("a\nb\nc\n", 2, _move_past_end, "request 4 is left over"),
+            ("a\nb\nc\na\n", 2, _drop_last_level, "1 levels for 2 paid moves"),
+            ("a\nb\nc\na\n", 2, _cost_plus_one, "paid distance 2 != total cost 3"),
         ],
     )
     def test_corrupted_input_rejected(self, text, k, corrupt, message):
         t = parse_trace(text)
-        result, offsets = _greedydual(t, k, MAX_LOWER)
-        _replay(MAX_LOWER, result, offsets)  # the uncorrupted run passes
-        events, bad = corrupt(list(result.events), offsets)
-        # the log is expanded from the run's decisions, so a corrupted log
-        # comes in a stand-in result; _replay reads only its events, trace and k
-        bad_result = types.SimpleNamespace(events=tuple(events), trace=t, k=k)
+        levels = []
+        result = _label_loop(t, k, MAX_LOWER, levels=levels)
+        _replay(result, levels)  # the uncorrupted run passes
+        bad_result, bad_levels = corrupt(result, levels)
         with pytest.raises(CertificateError, match=message):
-            _replay(MAX_LOWER, bad_result, bad)
+            _replay(bad_result, bad_levels)
 
 
 class ThirdPartyChecker:
@@ -464,7 +495,7 @@ def reference_snapshots(run):
 
 
 class TestServedWalk:
-    """The served multiset rebuilt from the event log in request order
+    """The served multiset rebuilt from the paid decisions in request order
     equals per-step snapshots, in ``served_steps`` and in the export."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -509,6 +540,15 @@ class TestServedWalk:
         write_certificate(run, io.StringIO())
         assert run._fields == ("result", "dual", "relabel", "history", "relabels")
         assert not hasattr(run, "__dict__")
+
+    def test_certifying_never_expands_the_event_log(self):
+        """Certifying, exporting, bounding and walking read the run's paid
+        decisions; none of them builds its per-request event log."""
+        run = run_greedydual_certified(generate_random(10, 300, 9, seed=43), 3)
+        write_certificate(run, io.StringIO())
+        assert check_primal_dual_bound(run, 2)
+        assert len(list(served_steps(run))) == 300
+        assert "events" not in vars(run.result)
 
 
 class _CountingSink:

@@ -21,7 +21,7 @@ from cachecomp.strategies import (
     MAX_LOWER,
     MOVE,
     Event,
-    _greedydual,
+    _label_loop,
     run,
 )
 from cachecomp.trace import RequestTrace, generate_cyclic
@@ -193,7 +193,8 @@ def traces(draw):
     nodes = draw(st.integers(1, 12))
     wmax = draw(st.sampled_from([1, 1, 9, 50]))
     weights = draw(st.lists(st.integers(1, wmax), min_size=nodes, max_size=nodes))
-    requests = draw(st.lists(st.integers(0, nodes - 1), max_size=80))
+    n = draw(st.integers(0, 80))  # a list strategy would stay near empty
+    requests = draw(st.lists(st.integers(0, nodes - 1), min_size=n, max_size=n))
     return RequestTrace(tuple(requests), tuple(weights), tuple(f"n{i}" for i in range(nodes)))
 
 
@@ -208,8 +209,11 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(trace=traces(), k=st.integers(1, 10))
     def test_greedydual_offsets_match(self, relabel, trace, k):
-        # dualcert reads (a, b) off these offsets
-        assert _greedydual(trace, k, relabel)[1] == ref_greedydual(trace, k, relabel)[1]
+        # dualcert reads (a, b) off the offset after each paid move
+        levels = []
+        _label_loop(trace, k, relabel, levels=levels)
+        state, offsets = ref_greedydual(trace, k, relabel)
+        assert levels == [offsets[e.index + 1] for e in state.events if e.kind == MOVE]
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_long_cyclic_and_skewed_traces(self, spec):

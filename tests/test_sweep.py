@@ -376,7 +376,8 @@ def traces(draw, wmax=None):
     nodes = draw(st.integers(1, 7))
     wmax = wmax or draw(st.sampled_from([1, 1, 6]))
     weights = draw(st.lists(st.integers(1, wmax), min_size=nodes, max_size=nodes))
-    requests = draw(st.lists(st.integers(0, nodes - 1), max_size=40))
+    n = draw(st.integers(0, 40))  # a list strategy would stay near empty
+    requests = draw(st.lists(st.integers(0, nodes - 1), min_size=n, max_size=n))
     return RequestTrace(tuple(requests), tuple(weights), tuple(f"n{i}" for i in range(nodes)))
 
 

@@ -15,12 +15,16 @@ first, is read off ``phases.partition`` (``fwf_cost``).  Randomized
 marking is a phase stream and a replay: ``mark_stream`` records each
 k-phase's opening cache and first requests, and ``replay_mark`` draws
 one seed's evictions from it, so a sweep builds one stream per k for all
-its trials.  On unit weights ``lru_cost_profile`` gives LRU's cost for
-every k from one stack-distance pass.  Sweeps read only the cost, so
-they never build a per-request log; ``SimulationResult.events`` is
-expanded from the decisions on first access.  A placed server is never
-unplaced except by a flush, which unplaces them all, so the lowest
-unplaced server id is always the number of servers placed.
+its trials.  ``lru_cost_profile`` gives LRU's cost for every k from one
+stack-distance pass on any weights: a reuse misses iff at least k other
+nodes were requested since its node's last request, and each such miss
+means the node was evicted once in between; after its last request a
+node is evicted iff it is not among the k most recently requested.
+Sweeps read only the cost, so they never build a per-request log;
+``SimulationResult.events`` is expanded from the decisions on first
+access.  A placed server is never unplaced except by a flush, which
+unplaces them all, so the lowest unplaced server id is always the number
+of servers placed.
 
 Strategies are plain names, canonicalized by ``parse_strategy``;
 ``UNIT_WEIGHT_TWINS`` records which of them decide alike on unit
@@ -256,29 +260,31 @@ def replay_mark(stream: list, seed: int) -> list:
 
 
 def lru_cost_profile(trace: RequestTrace, n: int) -> list[int]:
-    """LRU's cost for k = 1..n on a unit-weight trace, from one pass over
-    stack distances (Mattson, Gecsei, Slutz & Traiger 1970).  A request
-    hits under LRU with k servers iff fewer than k distinct nodes were
-    requested since its node's previous request.  A Fenwick tree over
-    request times, holding a 1 at each node's latest request, counts
-    those nodes in O(log N), so the pass takes O(N log N) time and O(N)
-    memory.  The first min(k, distinct) misses place servers for free."""
-    if not trace.is_paging:
-        raise ValueError("the LRU profile needs a unit-weight (paging) trace")
+    """LRU's cost for k = 1..n, from one pass over stack distances
+    (Mattson, Gecsei, Slutz & Traiger 1970).  LRU evicts by recency alone,
+    so this holds on any weights.  A request hits under LRU with k servers
+    iff fewer than k distinct nodes were requested since its node's
+    previous request; each reuse that misses means its node was evicted
+    exactly once in between, at the node's weight.  After its last request
+    a node is evicted iff it is not among the k most recently requested
+    nodes.  A Fenwick tree over request times, holding a 1 at each node's
+    latest request, counts the nodes in between in O(log N), so the pass
+    takes O(N log N) time and O(N) memory."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    size = len(trace.requests)
+    reqs, weights = trace.requests, trace.weights
+    size = len(reqs)
     tree = [0] * (size + 1)
     latest: dict[int, int] = {}  # node -> 1-based time of its latest request
-    between = [0] * (size + 1)  # [d]: reuses with d distinct nodes since the last
-    for t, v in enumerate(trace.requests, 1):
+    between = [0] * (size + 1)  # [d]: weight of reuses d distinct nodes after the last
+    for t, v in enumerate(reqs, 1):
         p = latest.get(v)
         if p is not None:
             earlier, j = 0, p
             while j:
                 earlier += tree[j]
                 j &= j - 1
-            between[len(latest) - earlier] += 1
+            between[len(latest) - earlier] += weights[v]
             while p <= size:
                 tree[p] -= 1
                 p += p & -p
@@ -286,13 +292,16 @@ def lru_cost_profile(trace: RequestTrace, n: int) -> list[int]:
         while j <= size:
             tree[j] += 1
             j += j & -j
-    distinct = len(latest)
-    missed = size - distinct  # reuses that miss with k servers
+    missed = sum(between)  # weight of the reuses that miss with k servers
+    tail = sum(weights[v] for v in latest)  # of nodes evicted after their last request
+    recent = sorted(latest, key=latest.__getitem__, reverse=True)
     costs = []
     for k in range(1, n + 1):
         if k <= size:
             missed -= between[k - 1]
-        costs.append(distinct + missed - min(k, distinct))
+        if k <= len(recent):
+            tail -= weights[recent[k - 1]]
+        costs.append(missed + tail)
     return costs
 
 

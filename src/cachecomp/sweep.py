@@ -9,12 +9,16 @@ exponent d when X is simultaneously expensive and far from optimal:
 Zero-cost rows are never violators: zero is trivially optimal, and the
 criterion targets significant cost.  Ties count as violations.
 
-Rows share work instead of rerunning engines.  On unit weights OPT and
-LRU are stack algorithms (Mattson, Gecsei, Slutz & Traiger 1970), so
-each one's cost for every k comes from one pass: an OPT stack ordered by
-next use (``offline.opt_paging_profile``, with
+Rows share work instead of rerunning engines.  OPT on unit weights and
+LRU on any weights are stack algorithms (Mattson, Gecsei, Slutz &
+Traiger 1970), so each one's cost for every k comes from one pass: an
+OPT stack ordered by next use (``offline.opt_paging_profile``, with
 OPT(k) = N - hits(depth <= k) - min(k, distinct)) and LRU's stack
-distances.  A strategy with a twin there (``UNIT_WEIGHT_TWINS``:
+distances, each missed reuse and each node left out of the final cache
+paying its weight (``lru_cost_profile``).  OPT(1), the floor's
+numerator, is the OPT profile's first entry; the profile is empty only
+when at most one distinct node is requested, and then OPT(1) is 0.  A
+strategy with a twin on unit weights (``UNIT_WEIGHT_TWINS``:
 GreedyDual's relabel policies are LRU and FIFO, and Balance is FIFO)
 takes its twin's cost, so each class runs once.  Flush-when-full is read
 off the row's phase partition, and marking's cost, the exact mean of its
@@ -139,7 +143,7 @@ class SweepTable(NamedTuple):
     strategies: tuple[str, ...]
     opt_method: str
     rows: tuple[SweepRow, ...]
-    opt1: int  # offline optimum with one server, computed directly
+    opt1: int  # offline optimum with one server: the OPT profile's first entry
 
 
 class ViolatorReport(NamedTuple):
@@ -206,9 +210,7 @@ def sweep(
         opt_costs = offline.opt_paging_profile(trace, busy) if busy else []
     twins = UNIT_WEIGHT_TWINS if trace.is_paging else {}
     keys = [twins.get(name, name) for name in names]
-    lru_costs = None
-    if trace.is_paging and busy and "lru" in keys:
-        lru_costs = lru_cost_profile(trace, busy)
+    lru_costs = lru_cost_profile(trace, busy) if busy and "lru" in keys else []
 
     rows = []
     for k in range(1, busy + 1):
@@ -220,7 +222,7 @@ def sweep(
                     by_key[key] = _mark_mean(trace, k, seed, mark_trials)
                 elif key == "fwf":
                     by_key[key] = fwf_cost(p)
-                elif key == "lru" and lru_costs is not None:
+                elif key == "lru":
                     by_key[key] = lru_costs[k - 1]
                 else:
                     by_key[key] = run(key, k, trace, seed=seed).total_cost
@@ -235,7 +237,7 @@ def sweep(
         strategies=tuple(names),
         opt_method=method,
         rows=tuple(rows),
-        opt1=offline.opt_single_server(trace),
+        opt1=opt_costs[0] if opt_costs else 0,
     )
 
 

@@ -101,6 +101,15 @@ class TestOptimal:
             code, out, err = run_cli(capsys, *argv, "--opt", "belady", "--trace", path)
             assert code == cli.DOMAIN_ERROR and err.startswith("error:") and out == ""
 
+    def test_schedule_csv_needs_flow(self, capsys, trace_file, tmp_path):
+        out_file = tmp_path / "schedule.csv"
+        code, out, err = run_cli(
+            capsys, "optimal", "--k", "2", "--trace", trace_file,
+            "--opt", "belady", "--out", str(out_file),
+        )
+        assert code == cli.DOMAIN_ERROR and out == "" and "needs --opt flow" in err
+        assert not out_file.exists()
+
 
 class TestCertify:
     def test_pass_verdict(self, capsys, weighted_file, tmp_path):
@@ -152,6 +161,12 @@ class TestSweep:
             capsys, "sweep", "--n", "2", "--strategies", strategies, "--trace", trace_file
         )
         assert code == 1 and out == "" and "given twice" in err
+
+    def test_no_strategies(self, capsys, trace_file):
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "2", "--strategies", ",", "--trace", trace_file
+        )
+        assert code == cli.DOMAIN_ERROR and out == "" and "no strategies given" in err
 
     def test_huge_n_is_domain_error(self, capsys, trace_file):
         code, out, err = run_cli(

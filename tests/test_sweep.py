@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cachecomp import offline
@@ -33,6 +33,16 @@ sweep_module = importlib.import_module("cachecomp.sweep")
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("called a step that must not run")
+
+
+def _counted(calls, name, fn, key):
+    """``fn``, appending ``key(*args)`` to ``calls[name]`` on every call."""
+
+    def wrapper(*args, **kwargs):
+        calls[name].append(key(*args))
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 ABCABD = parse_trace("a\nb\nc\na\nb\nd\n")
@@ -386,11 +396,16 @@ ALL_SPECS = ["lru", "fifo", "fwf", "balance", "mark", "greedydual:max", "greedyd
 
 class TestSharedWork:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(trace=traces(wmax=1), n=st.integers(1, 12))
+    @given(trace=st.one_of(traces(wmax=1), traces(wmax=5), traces(wmax=50)),
+           n=st.integers(1, 12))
+    @example(trace=parse_trace(""), n=3)
     def test_lru_profile_matches_runs(self, trace, n):
+        """LRU evicts by recency alone, so its profile holds on any weights,
+        for k past the distinct count too; OPT(1) is the OPT profile's head."""
         assert lru_cost_profile(trace, n) == [
             run("lru", k, trace).total_cost for k in range(1, n + 1)
         ]
+        assert sweep(trace, ["lru"], n).opt1 == offline.opt_single_server(trace)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(trace=traces(wmax=1), k=st.integers(1, 8))
@@ -409,8 +424,6 @@ class TestSharedWork:
         assert lru_cost_profile(cyclic, 7) == [
             run("lru", k, cyclic).total_cost for k in range(1, 8)
         ]
-        with pytest.raises(ValueError):
-            lru_cost_profile(generate_random(3, 10, 5, seed=0), 2)
         with pytest.raises(ValueError):
             lru_cost_profile(one, 0)
 
@@ -444,11 +457,7 @@ class TestSharedWork:
         calls = {name: [] for name in names}
 
         def counted(name, fn, key):
-            def wrapper(*args, **kwargs):
-                calls[name].append(key(*args))
-                return fn(*args, **kwargs)
-
-            return wrapper
+            return _counted(calls, name, fn, key)
 
         monkeypatch.setattr(
             sweep_module, "run", counted("run", run, lambda spec, k, trace: (str(spec), k))
@@ -479,3 +488,26 @@ class TestSharedWork:
             assert row.opt_cost == 0 and row.num_phases == 0 and row.avenew == 0
             assert row.costs == {"lru": 0, "fifo": 0, "fwf": 0, "mark": 0}
             assert type(row.costs["mark"]) is Fraction
+
+    def test_weighted_lru_from_one_profile(self, monkeypatch):
+        """On weights LRU still comes from one profile, every other
+        strategy runs per k, and OPT(1) is read off the flow profile."""
+        t = generate_random(5, 60, 9, seed=3)
+        calls = {"run": [], "profile": []}
+        monkeypatch.setattr(
+            sweep_module, "run",
+            _counted(calls, "run", run, lambda spec, k, trace: (str(spec), k)),
+        )
+        monkeypatch.setattr(
+            sweep_module, "lru_cost_profile",
+            _counted(calls, "profile", lru_cost_profile, lambda trace, n: n),
+        )
+        monkeypatch.setattr(offline, "opt_single_server", _must_not_run)
+        names = ["lru", "fifo", "greedydual:max"]
+        table = sweep(t, names, 12)
+        assert not t.is_paging and table.opt_method == "flow"
+        busy = t.distinct_requested() - 1
+        assert calls["profile"] == [busy]
+        assert calls["run"] == [
+            (name, k) for k in range(1, busy + 1) for name in names[1:]
+        ]

@@ -37,7 +37,7 @@ from .trace import RequestTrace, parse_trace
 
 if TYPE_CHECKING:  # bound on first use, see __getattr__
     from . import dualcert, offline, phases, strategies
-    from .sweep import count_violators, gnuplot_script, parse_family, table_to_csv
+    from .sweep import count_violators, gnuplot_script, parse_family, parse_rational, table_to_csv
     from .sweep import sweep as run_sweep
 
 __all__ = ["main", "build_parser"]
@@ -57,6 +57,7 @@ _LAZY = {
     "count_violators": ("sweep", "count_violators"),
     "gnuplot_script": ("sweep", "gnuplot_script"),
     "parse_family": ("sweep", "parse_family"),
+    "parse_rational": ("sweep", "parse_rational"),
     "table_to_csv": ("sweep", "table_to_csv"),
 }
 
@@ -276,19 +277,14 @@ def _cmd_phases(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
     _bind("strategies", "run_sweep", "count_violators", "table_to_csv", "parse_family",
-          "gnuplot_script")
+          "parse_rational", "gnuplot_script")
     trace = _load_trace(args.trace)
     specs = [s for s in args.strategies.split(",") if s.strip()]
     if not specs:
         raise ValueError("no strategies given")
     family = parse_family(args.c_family) if args.c_family else None
-    try:
-        d = Fraction(args.d)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in --d {args.d!r}") from None
+    d = parse_rational(args.d, f"--d {args.d!r}")
     if d <= 0:
         raise ValueError("--d must be positive")
     if args.gnuplot and not args.out:

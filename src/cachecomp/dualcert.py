@@ -36,7 +36,8 @@ checks in exact arithmetic that
 
   * a paid decision sits at exactly each miss that finds every server
     placed, so a raise happens only there, and no offset decreases;
-  * after a raise, b[i+1] <= w(r_i) for every served request i (H >= 0);
+  * b[i+1] <= w(r_i) for every served request i (H >= 0); b[i+1] only
+    rises while i is served, so this is checked once, as i leaves S;
   * the evicted server is served and has L <= 0;
   * at every request, paid distance <= k * (total raise) - sum over
     served requests i of b[i'+1];
@@ -202,7 +203,8 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
     each paid move.  The offset is the cumulative raise.  The replay keeps
     it after each request as ``offsets``, so that once request n has
     relabelled, raised = offsets[n] and the current b[j] for j <= n is
-    raised - offsets[j-1]."""
+    raised - offsets[j-1].  H >= 0 is checked as each request leaves S:
+    when a hit supersedes it, when it is evicted, or at the end."""
     trace, k = result.trace, result.k
     n = len(trace)
     weights = trace.weights
@@ -210,15 +212,11 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
         raise CertificateError(f"{len(levels)} levels for {len(result.paid)} paid moves")
 
     relabels: list[tuple[int, int]] = []
-    leave_raise: dict[int, int] = {}
+    left = [0] * (n + 1)  # the raise as request i left S (request 0: before any raise)
     zero_mult = k
     # node -> entry; re-inserted on every request, so values stay ordered by i
     served: dict[int, ServedEntry] = {}
     sum_served_b = 0  # sum over S of current b[moved+1] (zero entries: b[1])
-    # (w(r_i) + offsets[i], entry of i, r_i) per served request i, so that
-    # b[i+1] <= w(r_i) while raised <= that cap.  An entry that is no longer
-    # its node's is stale: dropped from the top, and all of them at 2k.
-    caps: list[tuple[int, ServedEntry, int]] = []
     raised = distance = 0
     offsets = [0]  # offsets[0] is the offset before request 1
     history: list[StepRecord] = []
@@ -231,12 +229,12 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
             raise CertificateError(f"paid decisions do not fit request {idx}")
         if old is not None:
             moved = old.moved
-            leave_raise[old.i] = raised  # the superseded request exits S here
+            if raised - offsets[old.i] > weights[v]:
+                raise CertificateError(f"b[{old.i + 1}] exceeds served weight at request {idx}")
+            left[old.i] = raised  # the superseded request exits S here
         elif zero_mult > 0:
             moved = idx
             zero_mult -= 1  # no raise comes before the last placement: b[1] is 0
-            if zero_mult == 0:
-                leave_raise[0] = raised
         else:
             rho = level - raised
             if rho < 0:
@@ -245,29 +243,21 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
             if rho:
                 relabels.append((idx, rho))
                 sum_served_b += k * rho
-                while caps and served.get(caps[0][2]) is not caps[0][1]:
-                    heapq.heappop(caps)
-                if caps and raised > caps[0][0]:
-                    raise CertificateError(
-                        f"b[{caps[0][1].i + 1}] exceeds served weight after raise at {idx}"
-                    )
             victim = served.pop(evicted, None)
             if victim is None:
                 raise CertificateError(f"request {idx} evicts an unserved node")
+            if raised - offsets[victim.i] > weights[evicted]:
+                raise CertificateError(f"b[{victim.i + 1}] exceeds served weight at request {idx}")
             victim_b = raised - offsets[victim.moved]
             if weights[evicted] > victim_b:
                 raise CertificateError(f"evicted server has L > 0 at request {idx}")
-            leave_raise[victim.i] = raised
+            left[victim.i] = raised
             sum_served_b -= victim_b
             distance += weights[evicted]
             moved = idx
             (due, evicted), level = next(decisions, (_NO_MOVE, None))
         offsets.append(raised)
-        served[v] = entry = ServedEntry(idx, moved)
-        if len(caps) >= 2 * k:
-            caps = [c for c in caps if served.get(c[2]) is c[1]]
-            heapq.heapify(caps)
-        heapq.heappush(caps, (weights[v] + raised, entry, v))
+        served[v] = ServedEntry(idx, moved)
 
         if distance > k * raised - sum_served_b:
             raise CertificateError(
@@ -276,17 +266,18 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
             )
         history.append(StepRecord(zero_mult, raised, distance, sum_served_b))
 
+    for v, entry in served.items():  # the requests still in S leave it at the end
+        if raised - offsets[entry.i] > weights[v]:
+            raise CertificateError(f"b[{entry.i + 1}] exceeds served weight at request {n}")
+        left[entry.i] = raised
     if due is not None:
         raise CertificateError(f"paid decisions do not fit: request {due + 1} is left over")
     if distance != result.total_cost:
         raise CertificateError(f"paid distance {distance} != total cost {result.total_cost}")
-    a = [0] * (n + 1)
-    for i, left in leave_raise.items():
-        a[i] = raised - left
     b = [0] + [raised - x for x in offsets[:n]]
     return CertifiedRun(
         result=result,
-        dual=DualSolution(tuple(a), tuple(b)),
+        dual=DualSolution(tuple(raised - x for x in left), tuple(b)),
         relabel=result.strategy.partition(":")[2],
         history=tuple(history),
         relabels=tuple(relabels),

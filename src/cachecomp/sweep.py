@@ -69,6 +69,7 @@ __all__ = [
 
 VIOLATOR_BOUND_CONSTANT = 8
 SWEEP_N_CAP = 100_000  # most values of k one sweep tabulates
+MAX_EXPONENT = 4300  # as many digits as int() reads by default
 
 
 class RatioFamily(_Record):
@@ -118,16 +119,27 @@ class RatioFamily(_Record):
         return f"{self.kind}:{self.param}"
 
 
+def parse_rational(text: str, where: str) -> Fraction:
+    """``Fraction(text)``, refusing a zero denominator and an exponent beyond
+    +-MAX_EXPONENT, whose power of ten Fraction would build before any check."""
+    try:
+        huge = abs(int(text.lower().partition("e")[2] or 0)) > MAX_EXPONENT
+    except ValueError:  # not an exponent: Fraction reports the literal
+        huge = False
+    if huge:
+        raise ValueError(f"exponent beyond +-{MAX_EXPONENT} in {where}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {where}") from None
+
+
 def parse_family(text: str) -> RatioFamily:
     """Parse ``log:A | loglog:B | const:C`` with rational arguments."""
     kind, sep, arg = text.strip().partition(":")
     if not sep:
         raise ValueError(f"ratio family needs an argument: {text!r}")
-    try:
-        param = Fraction(arg.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in ratio family {text!r}") from None
-    return RatioFamily(kind.strip().lower(), param)
+    return RatioFamily(kind.strip().lower(), parse_rational(arg.strip(), f"ratio family {text!r}"))
 
 
 class SweepRow(NamedTuple):

@@ -273,6 +273,8 @@ class TestSweep:
             ["--d", "0"],
             ["--d", "-1"],
             ["--c-family", "log:4", "--d", "0"],
+            ["--d", "1e4301"],
+            ["--c-family", "log:1E-4301"],
         ],
     )
     def test_bad_numbers_are_domain_errors(self, capsys, trace_file, flags):
@@ -282,6 +284,23 @@ class TestSweep:
         )
         assert code == cli.DOMAIN_ERROR
         assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("d, violators", [("1e4300", "2 [1 2]"), ("1e-4300", "1 [1]")])
+    def test_exponent_at_the_limit_is_accepted(self, capsys, trace_file, d, violators):
+        code, out, err = run_cli(
+            capsys, "sweep", "--trace", trace_file, "--n", "2", "--strategies", "lru",
+            "--c-family", "log:1", "--d", d,
+        )
+        assert code == 0 and err == ""
+        assert f"violators lru {violators}\n" in out
+
+    @pytest.mark.parametrize("flags", [["--d", "1e100000000"], ["--c-family", "log:1e100000000"]])
+    def test_huge_exponent_exits_at_once(self, trace_file, flags):
+        # Fraction alone would build 10**(10**8) first, which takes minutes
+        argv = ["sweep", "--trace", trace_file, "--n", "2", "--strategies", "lru", *flags]
+        proc = run_fresh(f"import sys\nfrom cachecomp.cli import main\nsys.exit(main({argv!r}))")
+        assert proc.returncode == cli.DOMAIN_ERROR
+        assert proc.stdout == "" and "exponent beyond +-4300" in proc.stderr
 
 
 class TestOSErrors:

@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cachecomp.dualcert import (
@@ -344,6 +344,12 @@ def _cost_plus_one(result, levels):
     return _rebuilt(result, result.paid, result.total_cost + 1), levels
 
 
+def _evict_a_at_five(result, levels):
+    # "a 5, b, c[, b]" with k=2: request 3 evicts a, not b, and lowers the
+    # labels by 5, which a's caps allow and b's (w = 1) do not
+    return _rebuilt(result, ((2, 0),)), [5]
+
+
 class TestReplayChecks:
     """The replay rejects paid decisions, levels or a cost that break an
     invariant."""
@@ -355,6 +361,10 @@ class TestReplayChecks:
             ("a 5\nb\nc\n", 2, _raise_from(0), "exceeds served weight"),
             # only b, the middle of the three served requests, is exceeded
             ("a 5\nb\nc 5\nd\n", 3, _raise_from(0), r"b\[3\] exceeds served weight"),
+            # a cap is checked as its request leaves S: evicted, superseded, at the end
+            ("a 5\nb\nc\n", 2, _raise_from(0), r"^b\[3\] exceeds served weight at request 3$"),
+            ("a 5\nb\nc\nb\n", 2, _evict_a_at_five, r"^b\[3\] .* at request 4$"),
+            ("a 5\nb\nc\n", 2, _evict_a_at_five, r"^b\[3\] .* at request 3$"),
             ("a 5\nb\nc\n", 2, _evict_heavy, "L > 0"),
             ("a 5\nb\nc\n", 2, _evict_requested, "evicts an unserved node"),
             ("a\nb\n", 2, _move_while_unplaced, "do not fit request 2"),
@@ -372,6 +382,41 @@ class TestReplayChecks:
         bad_result, bad_levels = corrupt(result, levels)
         with pytest.raises(CertificateError, match=message):
             _replay(bad_result, bad_levels)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(trace=traces(), data=st.data())
+    def test_raised_levels_rejected_iff_a_cap_is_exceeded(self, policy, trace, data):
+        """Raise levels[j:] by delta, decisions unchanged, so only a cap can
+        break: the replay rejects iff at some paid request s a request i
+        served before s has level_s - offsets[i] > w(r_i)."""
+        distinct = len(set(trace.requests))
+        assume(distinct >= 2)
+        k = data.draw(st.integers(1, min(6, distinct - 1)), label="k")
+        levels = []
+        result = _label_loop(trace, k, policy, levels=levels)
+        steps = list(served_steps(_replay(result, levels)))
+        j = data.draw(st.integers(0, len(levels) - 1), label="j")
+        delta = data.draw(st.integers(1, 9), label="delta")
+        raised = levels[:j] + [x + delta for x in levels[j:]]
+        offsets = [0] * (len(trace) + 1)  # offsets[i]: the offset after request i
+        for (due, _), level in zip(result.paid, raised):
+            offsets[due + 1] = level
+        for i in range(1, len(offsets)):
+            offsets[i] = max(offsets[i], offsets[i - 1])
+        weights, reqs = trace.weights, trace.requests
+        breach = any(
+            level - offsets[e.i] > weights[reqs[e.i - 1]]
+            for (due, _), level in zip(result.paid, raised)
+            for e in steps[due - 1]  # S before the paid request due + 1
+        )
+        if policy == MAX_LOWER:
+            assert breach  # max-lowering leaves its victim's H at exactly 0
+        if breach:
+            with pytest.raises(CertificateError, match="exceeds served weight"):
+                _replay(result, raised)
+        else:
+            _replay(result, raised)
 
 
 class ThirdPartyChecker:

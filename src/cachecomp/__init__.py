@@ -70,7 +70,6 @@ _OWNERS = {
             "parse_family",
             "sweep",
             "table_to_csv",
-            "violator_bound_check",
         ),
         "trace": (
             "RequestTrace",

@@ -39,22 +39,25 @@ checks in exact arithmetic that
   * b[i+1] <= w(r_i) for every served request i (H >= 0); b[i+1] only
     rises while i is served, so this is checked once, as i leaves S;
   * the evicted server is served and has L <= 0;
-  * at every request, paid distance <= k * (total raise) - sum over
-    served requests i of b[i'+1];
   * at the end, the paid distance is the run's total cost.
 
-With feasibility of (a, b) the running bound certifies that the run
-costs at most k/(k-h+1) times the offline optimum with h <= k servers,
-with no additive slack.  ``check_feasibility`` decides feasibility of any
-(a, b) exactly in one O(N) backward scan: for each request only the
-largest later b at its own node and the largest at any other node bind.
+The slack k * (total raise) - (sum over served requests i of b[i'+1])
+- (paid distance) starts at 0; a raise leaves it unchanged and an
+eviction lifts it by the victim's -L >= 0, so paid distance never
+exceeds k * (total raise) - sum over S of b[i'+1].  With feasibility of
+(a, b) that bound, checked at the end by ``check_primal_dual_bound``,
+certifies that the run costs at most k/(k-h+1) times the offline optimum
+with h <= k servers, with no additive slack.  ``check_feasibility``
+decides feasibility of any (a, b) exactly in one O(N) backward scan: for
+each request only the largest later b at its own node and the largest at
+any other node bind.
 
 The dual is stored once, as the final (a, b) in ``CertifiedRun.dual``;
 each step records only O(1) integers: the unplaced servers, its
-cumulative raise, the paid distance and the served-set term.  A raise
-lifts every live variable by the same amount, so after step s every b[j]
-with j <= s+1 and every a[i] of a request that has left S stands at its
-final value plus raised_s - R (``dual_at_step``, ``served_b_sum``).
+cumulative raise and the paid distance.  A raise lifts every live
+variable by the same amount, so after step s every b[j] with j <= s+1
+and every a[i] of a request that has left S stands at its final value
+plus raised_s - R (``dual_at_step``, ``served_b_sum``).
 
 The served multiset is not kept per step.  Each request changes it by at
 most one removal and one insertion, so one O(N) walk of the trace beside
@@ -134,14 +137,13 @@ class ServedEntry(NamedTuple):
 
 
 class StepRecord(NamedTuple):
-    """State after one request: unplaced servers, cumulative raise, paid
-    distance, and the served-set term of the certified bound.  The served
-    multiset itself is rebuilt in request order (``served_steps``)."""
+    """State after one request: unplaced servers, cumulative raise and
+    paid distance.  The served multiset is rebuilt in request order
+    (``served_steps``) and its term of the bound by ``served_b_sum``."""
 
     zero_mult: int
     raised: int
     distance: int
-    served_b_sum: int
 
 
 class CertifiedRun(NamedTuple):
@@ -216,7 +218,6 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
     zero_mult = k
     # node -> entry; re-inserted on every request, so values stay ordered by i
     served: dict[int, ServedEntry] = {}
-    sum_served_b = 0  # sum over S of current b[moved+1] (zero entries: b[1])
     raised = distance = 0
     offsets = [0]  # offsets[0] is the offset before request 1
     history: list[StepRecord] = []
@@ -242,29 +243,20 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
             raised = level
             if rho:
                 relabels.append((idx, rho))
-                sum_served_b += k * rho
             victim = served.pop(evicted, None)
             if victim is None:
                 raise CertificateError(f"request {idx} evicts an unserved node")
             if raised - offsets[victim.i] > weights[evicted]:
                 raise CertificateError(f"b[{victim.i + 1}] exceeds served weight at request {idx}")
-            victim_b = raised - offsets[victim.moved]
-            if weights[evicted] > victim_b:
+            if weights[evicted] > raised - offsets[victim.moved]:
                 raise CertificateError(f"evicted server has L > 0 at request {idx}")
             left[victim.i] = raised
-            sum_served_b -= victim_b
             distance += weights[evicted]
             moved = idx
             (due, evicted), level = next(decisions, (_NO_MOVE, None))
         offsets.append(raised)
         served[v] = ServedEntry(idx, moved)
-
-        if distance > k * raised - sum_served_b:
-            raise CertificateError(
-                f"certified bound violated after request {idx}: "
-                f"{distance} > {k}*{raised} - {sum_served_b}"
-            )
-        history.append(StepRecord(zero_mult, raised, distance, sum_served_b))
+        history.append(StepRecord(zero_mult, raised, distance))
 
     for v, entry in served.items():  # the requests still in S leave it at the end
         if raised - offsets[entry.i] > weights[v]:
@@ -356,8 +348,7 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
         cost <= k/(k-h+1) * dual_cost(h) - sum over served i of b[i'+1]
 
     evaluated exactly as (k-h+1)*cost <= k*dual_cost - (k-h+1)*sum(...).
-    The final served set comes from a fresh walk of the paid decisions,
-    not from the replay's running sum.
+    The final served set comes from a walk of the paid decisions.
     """
     k = run.result.k
     if not 1 <= h <= k:
@@ -390,7 +381,7 @@ def _record(run: CertifiedRun, step: int) -> StepRecord:
 def served_b_sum(run: CertifiedRun, step: int, served: Iterable[ServedEntry]) -> int:
     """Recompute, from raw records, the served-set term sum over S of
     b[moved+1] as of ``step`` (0-based), given that step's item of
-    ``served_steps``; cross-checks the running value."""
+    ``served_steps``."""
     rec = _record(run, step)
     b, shift = run.dual.b, rec.raised - run.history[-1].raised
     total = rec.zero_mult * (b[1] + shift)

@@ -27,7 +27,8 @@ Rows with k at least the number of distinct requested nodes evict
 nothing, so they are filled with zeros and run nothing, and the OPT
 stack stops at the last row that evicts; the flow profile stops by
 itself once an extra server saves nothing.  At most ``SWEEP_N_CAP``
-rows are swept, checked before any solver runs.
+rows are swept, with at most ``SWEEP_TRIALS_CAP`` marking trials per
+row, both checked before any solver runs.
 """
 
 from __future__ import annotations
@@ -60,16 +61,21 @@ __all__ = [
     "sweep",
     "count_violators",
     "violator_bound_limit",
-    "violator_bound_check",
     "table_to_csv",
     "gnuplot_script",
     "VIOLATOR_BOUND_CONSTANT",
     "SWEEP_N_CAP",
+    "SWEEP_TRIALS_CAP",
 ]
 
 VIOLATOR_BOUND_CONSTANT = 8
 SWEEP_N_CAP = 100_000  # most values of k one sweep tabulates
+SWEEP_TRIALS_CAP = 100_000  # most marking trials one sweep replays per k
 MAX_EXPONENT = 4300  # as many digits as int() reads by default
+
+
+class _NotPositive(ValueError):
+    """c(1) <= 0; ``parse_family`` names the family as it was written."""
 
 
 class RatioFamily(_Record):
@@ -94,8 +100,8 @@ class RatioFamily(_Record):
             raise ValueError(f"unknown ratio family {self.kind!r}")
         if abs(self.param) > sys.float_info.max:  # thresholds are floats
             raise ValueError(f"{self.kind} ratio family argument is beyond float range")
-        if self.value(1) <= 0:
-            raise ValueError(f"ratio family {self} is not positive at k = 1")
+        if self.value(1) <= 0:  # an exact argument may have too many digits to print
+            raise _NotPositive(f"{self.kind} ratio family is not positive at k = 1")
 
     def value(self, k: int) -> float | Fraction:
         if k < 1:
@@ -139,7 +145,11 @@ def parse_family(text: str) -> RatioFamily:
     kind, sep, arg = text.strip().partition(":")
     if not sep:
         raise ValueError(f"ratio family needs an argument: {text!r}")
-    return RatioFamily(kind.strip().lower(), parse_rational(arg.strip(), f"ratio family {text!r}"))
+    where = f"ratio family {text!r}"
+    try:
+        return RatioFamily(kind.strip().lower(), parse_rational(arg.strip(), where))
+    except _NotPositive:
+        raise ValueError(f"{where} is not positive at k = 1") from None
 
 
 class SweepRow(NamedTuple):
@@ -195,15 +205,15 @@ def sweep(
     k, and the trial index only, so results are independent of evaluation
     order; the table equals running every strategy and trial on its own
     for each k.  A strategy named twice (after ``parse_strategy``), an n
-    above ``SWEEP_N_CAP`` and weights beyond float range are rejected
-    before any solver runs.  The offline optima come first, so an
-    infeasible method or a trace over ``offline.FLOW_CAP`` fails before
-    any strategy runs.
+    above ``SWEEP_N_CAP``, ``mark_trials`` above ``SWEEP_TRIALS_CAP`` and
+    weights beyond float range are rejected before any solver runs.  The
+    offline optima come first, so an infeasible method or a trace over
+    ``offline.FLOW_CAP`` fails before any strategy runs.
     """
     if not 1 <= n <= SWEEP_N_CAP:
         raise ValueError(f"n must be between 1 and {SWEEP_N_CAP}, got {n}")
-    if mark_trials < 1:
-        raise ValueError("mark_trials must be >= 1")
+    if not 1 <= mark_trials <= SWEEP_TRIALS_CAP:
+        raise ValueError(f"mark_trials must be between 1 and {SWEEP_TRIALS_CAP}, got {mark_trials}")
     # every cost is at most len(trace) * max weight, and costs, ratios and
     # thresholds are printed or compared as floats
     if len(trace) * max(trace.weights, default=1) > sys.float_info.max:
@@ -319,22 +329,6 @@ def violator_bound_limit(
     if for_mark:
         return base * math.exp(1 - c_n / 2)
     return base / c_n
-
-
-def violator_bound_check(
-    trace: RequestTrace,
-    strategy: str,
-    family: RatioFamily,
-    d: Fraction | int,
-    n: int,
-) -> bool:
-    """Sweep the trace with ``sweep``'s defaults and test the violator
-    count against its ceiling."""
-    name = parse_strategy(strategy)
-    table = sweep(trace, [name], n)
-    report = count_violators(table, name, family, d)
-    limit = violator_bound_limit(family, n, d, for_mark=name == "mark")
-    return report.count <= limit
 
 
 def _fmt_cost(cost: int | Fraction) -> str:

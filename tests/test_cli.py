@@ -175,6 +175,14 @@ class TestSweep:
         assert code == cli.DOMAIN_ERROR and out == ""
         assert err.startswith("error: n must be") and err.count("\n") == 1
 
+    def test_huge_trials_exits_at_once(self, trace_file):
+        # each of a billion trials would replay marking on every row
+        argv = ["sweep", "--trace", trace_file, "--n", "3", "--strategies", "mark",
+                "--trials", "1000000000"]
+        proc = run_fresh(f"import sys\nfrom cachecomp.cli import main\nsys.exit(main({argv!r}))")
+        assert proc.returncode == cli.DOMAIN_ERROR and proc.stdout == ""
+        assert proc.stderr == "error: mark_trials must be between 1 and 100000, got 1000000000\n"
+
     def test_stdout_csv(self, capsys, trace_file):
         code, out, _ = run_cli(
             capsys, "sweep", "--trace", trace_file, "--n", "3",
@@ -284,6 +292,15 @@ class TestSweep:
         )
         assert code == cli.DOMAIN_ERROR
         assert err.startswith("error:") and out == ""
+
+    def test_family_not_positive_is_named_as_written(self, capsys, trace_file):
+        # c(1) underflows to 0, and the argument's denominator has 4301 digits
+        code, out, err = run_cli(
+            capsys, "sweep", "--trace", trace_file, "--n", "2", "--strategies", "lru",
+            "--c-family", "log:1e-4300",
+        )
+        assert code == cli.DOMAIN_ERROR and out == ""
+        assert err == "error: ratio family 'log:1e-4300' is not positive at k = 1\n"
 
     @pytest.mark.parametrize("d, violators", [("1e4300", "2 [1 2]"), ("1e-4300", "1 [1]")])
     def test_exponent_at_the_limit_is_accepted(self, capsys, trace_file, d, violators):

@@ -242,8 +242,7 @@ class TestCertifiedRun:
                 snapshot = dual_at_step(run, s, served)
                 assert check_feasibility(snapshot, t) == []
                 rec = run.history[s]
-                assert rec.served_b_sum == served_b_sum(run, s, served)
-                assert rec.distance <= k * rec.raised - rec.served_b_sum
+                assert rec.distance <= k * rec.raised - served_b_sum(run, s, served)
 
     def test_weak_duality_and_ratio(self):
         rng = random.Random(29)
@@ -257,16 +256,17 @@ class TestCertifiedRun:
                 assert check_primal_dual_bound(run, h)
 
     def test_bound_threshold_is_exact(self):
-        """The final served term is recomputed, not read off the replay, and
-        equals the replay's: the largest cost the bound accepts is exactly
-        the one that term allows."""
+        """The largest cost the bound accepts is exactly the one the final
+        served term allows."""
         rng = random.Random(31)
         for trial in range(20):
             t, k, policy = random_case(trial, rng)
             run = run_greedydual_certified(t, k, policy)
+            *_, final = served_steps(run)
+            served_term = served_b_sum(run, len(t) - 1, final)
             for h in range(1, k + 1):
                 c = k - h + 1
-                top = (k * dual_cost(run.dual, h) - c * run.history[-1].served_b_sum) // c
+                top = (k * dual_cost(run.dual, h) - c * served_term) // c
                 r = run.result
                 for cost, holds in ((top, True), (top + 1, False)):
                     result = SimulationResult(r.strategy, r.k, cost, r.paid, r.trace)
@@ -419,6 +419,98 @@ class TestReplayChecks:
             _replay(result, raised)
 
 
+def assert_slack_identity(run):
+    """slack_s = k * raised_s - served_b_sum(run, s, S_s) - distance_s is 0
+    until the first paid move and changes only at paid moves, each time by
+    exactly b_s[moved+1] - w(evicted) >= 0 for the victim's entry, b_s
+    being the dual after step s.  So distance_s never exceeds
+    k * raised_s - served_b_sum: the bound holds at every step."""
+    result = run.result
+    k, reqs, weights = result.k, result.trace.requests, result.trace.weights
+    evicts = dict(result.paid)  # 0-based step -> evicted node
+    slack, before = 0, ()
+    for s, served in enumerate(served_steps(run)):
+        rec = run.history[s]
+        now = k * rec.raised - served_b_sum(run, s, served) - rec.distance
+        lift = 0
+        if s in evicts:
+            (victim,) = [e for e in before if reqs[e.i - 1] == evicts[s]]
+            lift = dual_at_step(run, s, served).b[victim.moved + 1] - weights[evicts[s]]
+            assert lift >= 0
+        assert now == slack + lift
+        slack, before = now, served
+
+
+def _redirected(result, m, node):
+    """``result`` with its m-th paid decision evicting ``node`` instead."""
+    paid = list(result.paid)
+    paid[m] = (paid[m][0], node)
+    return _rebuilt(result, paid)
+
+
+def _alternatives(result, steps, m):
+    """The served nodes the m-th paid decision could evict instead."""
+    due, evicted = result.paid[m]
+    reqs = result.trace.requests
+    return [reqs[e.i - 1] for e in steps[due - 1] if reqs[e.i - 1] != evicted]
+
+
+class TestBoundSlack:
+    """The bound's slack moves only at paid moves, by the victim's -L, so
+    the L <= 0 check keeps the bound at every step; on honest runs and on
+    corrupted ones that the replay accepts."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(trace=traces(), data=st.data())
+    def test_identity(self, policy, trace, data):
+        distinct = len(set(trace.requests))
+        assume(distinct >= 2)
+        k = data.draw(st.integers(1, min(6, distinct - 1)), label="k")
+        levels = []
+        result = _label_loop(trace, k, policy, levels=levels)
+        run = _replay(result, levels)
+        assert_slack_identity(run)
+        if not levels:
+            return
+        m = data.draw(st.integers(0, len(levels) - 1), label="m")
+        others = _alternatives(result, list(served_steps(run)), m)
+        if others and data.draw(st.booleans(), label="redirect"):
+            bad = (_redirected(result, m, data.draw(st.sampled_from(others))), levels)
+        else:
+            delta = data.draw(st.integers(1, 9), label="delta")
+            bad = (result, levels[:m] + [x + delta for x in levels[m:]])
+        try:
+            corrupted = _replay(*bad)
+        except CertificateError:
+            return
+        assert_slack_identity(corrupted)
+
+    def test_corrupted_runs_are_accepted(self):
+        """Every redirected decision and every suffix raised by 1, on seeded
+        runs: the replay accepts some of each kind, and each one it accepts
+        keeps the identity."""
+        rng = random.Random(37)
+        accepted = {"redirect": 0, "raise": 0}
+        for trial in range(200):
+            t, k, policy = random_case(trial, rng)
+            levels = []
+            result = _label_loop(t, k, policy, levels=levels)
+            steps = list(served_steps(_replay(result, levels)))
+            for m in range(len(levels)):
+                cases = [("raise", result, levels[:m] + [x + 1 for x in levels[m:]])]
+                cases += [("redirect", _redirected(result, m, u), levels)
+                          for u in _alternatives(result, steps, m)]
+                for kind, bad_result, bad_levels in cases:
+                    try:
+                        corrupted = _replay(bad_result, bad_levels)
+                    except CertificateError:
+                        continue
+                    assert_slack_identity(corrupted)
+                    accepted[kind] += 1
+        assert min(accepted.values()) > 0, accepted
+
+
 class ThirdPartyChecker:
     """Standalone re-verification from the exported text only."""
 
@@ -552,13 +644,15 @@ class TestServedWalk:
         assert walked == ref
         for s, served in enumerate(walked):
             rec = run.history[s]
-            assert served_b_sum(run, s, served) == rec.served_b_sum
             shift = rec.raised - run.history[-1].raised
             left = set(range(s + 2)) - {e.i for e in ref[s]} - ({0} if rec.zero_mult else set())
             want_a = [run.dual.a[i] + shift if i in left else 0 for i in range(len(trace) + 1)]
-            want_b = [run.dual.b[j] + shift if 1 <= j <= s + 1 else 0 for j in range(len(trace) + 1)]
+            want_b = [run.dual.b[j] + shift if 1 <= j <= s + 1 else 0 for j in range(len(trace) + 2)]
             snapshot = dual_at_step(run, s, served)
-            assert (list(snapshot.a), list(snapshot.b)) == (want_a, want_b)
+            assert (list(snapshot.a), list(snapshot.b)) == (want_a, want_b[:-1])
+            # b[s+2], the pointer of a server that moved at this request, is still 0
+            want_term = rec.zero_mult * want_b[1] + sum(want_b[e.moved + 1] for e in ref[s])
+            assert served_b_sum(run, s, served) == want_term
         s_fields = [line.rpartition(" S=")[2] for line in
                     export_certificate(run).splitlines() if line.startswith("step ")]
         for rec, entries, field in zip(run.history, ref, s_fields, strict=True):

@@ -39,7 +39,7 @@ def _values():
         (OptSchedule, ("predecessor", "cost", "k"), ((0, 0, 1), 3, 1), True),
         (DualSolution, ("a", "b"), ((0, 1), (0, 2)), True),
         (ServedEntry, ("i", "moved"), (4, 2), True),
-        (StepRecord, ("zero_mult", "raised", "distance", "served_b_sum"), (0, 3, 1, 2), True),
+        (StepRecord, ("zero_mult", "raised", "distance"), (0, 3, 1), True),
         (CertifiedRun, ("result", "dual", "relabel", "history", "relabels"),
          (result, cert.dual, "max", cert.history, cert.relabels), True),
         (Violation, ("i", "j", "excess"), (None, 2, 1), True),

@@ -14,6 +14,7 @@ from cachecomp.phases import partition
 from cachecomp.strategies import UNIT_WEIGHT_TWINS, lru_cost_profile, parse_strategy, run
 from cachecomp.sweep import (
     SWEEP_N_CAP,
+    SWEEP_TRIALS_CAP,
     RatioFamily,
     SweepRow,
     SweepTable,
@@ -23,7 +24,6 @@ from cachecomp.sweep import (
     parse_family,
     sweep,
     table_to_csv,
-    violator_bound_check,
     violator_bound_limit,
 )
 from cachecomp.trace import RequestTrace, generate_cyclic, generate_random, parse_trace
@@ -145,6 +145,18 @@ class TestSweep:
     def test_n_at_cap_runs(self):
         table = sweep(generate_cyclic(3, 6), ["lru"], SWEEP_N_CAP)
         assert len(table.rows) == SWEEP_N_CAP and table.rows[-1].costs == {"lru": 0}
+
+    def test_trials_cap_checked_before_running(self, monkeypatch):
+        monkeypatch.setattr(offline, "opt_paging_profile", _must_not_run)
+        monkeypatch.setattr(sweep_module, "mark_stream", _must_not_run)
+        for trials in (SWEEP_TRIALS_CAP + 1, 10**9):
+            with pytest.raises(ValueError, match=f"between 1 and {SWEEP_TRIALS_CAP}"):
+                sweep(generate_cyclic(3, 4), ["mark"], 3, mark_trials=trials)
+
+    def test_trials_at_cap_accepted(self):
+        # one distinct node: no row evicts, so no trial runs
+        table = sweep(parse_trace("a\na\n"), ["mark"], 2, mark_trials=SWEEP_TRIALS_CAP)
+        assert [row.costs for row in table.rows] == [{"mark": 0}] * 2
 
     def test_flow_cap_checked_before_running(self, monkeypatch):
         t = generate_cyclic(2, offline.FLOW_CAP + 1)
@@ -289,18 +301,22 @@ class TestViolators:
 class TestViolatorBound:
     def test_zero_violators_trivially_pass(self):
         t = generate_random(4, 80, 1, seed=5)
-        assert violator_bound_check(t, "lru", RatioFamily("const", Fraction(999)), 1, 5)
+        fam = RatioFamily("const", Fraction(999))
+        limit = violator_bound_limit(fam, 5, 1)
+        assert count_violators(sweep(t, ["lru"], 5), "lru", fam, 1).count <= limit
 
     def test_random_traces_lru(self):
         fam = parse_family("log:4")
+        limit = violator_bound_limit(fam, 16, 1)
         for seed in range(3):
             t = generate_random(40, 240, 1, seed=seed)
-            assert violator_bound_check(t, "lru", fam, 1, 16)
+            assert count_violators(sweep(t, ["lru"], 16), "lru", fam, 1).count <= limit
 
     def test_adversarial_cyclic_fwf(self):
         fam = parse_family("log:4")
         t = generate_cyclic(9, 200)
-        assert violator_bound_check(t, "fwf", fam, 1, 16)
+        limit = violator_bound_limit(fam, 16, 1)
+        assert count_violators(sweep(t, ["fwf"], 16), "fwf", fam, 1).count <= limit
 
     def test_limit_formulas(self):
         fam = parse_family("log:4")

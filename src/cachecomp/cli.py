@@ -6,11 +6,10 @@ goes to --out when given, otherwise below the summary.  All output is
 byte-deterministic for a fixed argv: seeds default to a fixed constant
 (0), never the clock.
 
-Exit codes: 0 success, 1 domain error (bad or unreadable trace, any
-other OSError, infeasible method, sweep n above ``SWEEP_N_CAP``), 2
-usage error, 3 certificate check failure, 141 stdout closed before all
-output was written (as for a process killed by SIGPIPE, e.g.
-``cachecomp sweep ... | head``).
+Exit codes: 0 success, 1 domain error, 2 usage error, 3 certificate
+check failure, 141 stdout closed before all output was written (as for
+a process killed by SIGPIPE, e.g. ``cachecomp sweep ... | head``).
+README's exit-code paragraph lists every domain error.
 
 A process loads only the layers its subcommand runs: ``optimal`` loads
 ``trace`` and ``offline``, and ``sweep`` is the only subcommand that

@@ -19,15 +19,24 @@ servers one serves the current request and at most h-1 stay parked, so
 The max-weight set is a min-cost flow of h-1 units on the request
 timeline.  Node t (0..N) is the moment after request t:
 
-    t-1 -> t                     cap k, cost 0         (request t)
-    i -> next(i) - 1             cap 1, cost -w(r_i)   (interval i)
+    t-1 -> t                     uncapacitated, cost 0   (request t)
+    i -> next(i) - 1             cap 1, cost -w(r_i)     (interval i)
 
 Every unit runs from node 0 to node N and crosses each request once, so
-h-1 units cover each request with at most h-1 intervals.  Successive
-shortest paths send one unit per extra server: potentials seeded by one
-pass over the DAG make all reduced costs nonnegative, and each unit is
-then one Dijkstra.  Once a unit saves nothing, no later one can, so the
-profile OPT(1..k) costs at most k-1 Dijkstra runs.
+h-1 units cover each request with at most h-1 intervals.  The request
+arcs need no cap: every arc points forward, so a request arc carries at
+most the units that cross its cut, at most the k-1 sent, and the network
+is the same for every k.  At most one interval ends at a node t < N
+(request t+1 has one previous request), so t has at most four residual
+arcs: on to t+1, back to t-1 while request t carries flow, along the
+interval that starts at t while it is not kept, and back along the one
+that ends at t while it is kept.  ``_IntervalFlow`` keeps them in flat
+per-node arrays.
+
+Successive shortest paths send one unit per extra server: potentials
+seeded by one pass over the DAG make all reduced costs nonnegative, and
+each unit is then one Dijkstra.  Once a unit saves nothing, no later one
+can, so the profile OPT(1..k) costs at most k-1 Dijkstra runs.
 
 The schedule is decoded from the kept intervals: a request whose interval
 is kept, or whose node is requested again right away, hands its server to
@@ -93,155 +102,148 @@ class OptSchedule(NamedTuple):
     k: int
 
 
-class _MinCostFlow:
-    """Paired-arc residual network; successive shortest paths with potentials.
+_BACK, _ON, _UNKEEP, _KEEP = range(4)  # residual arc kinds
 
-    Every arc points from a lower node to a higher one, so one pass in node
-    order seeds potentials under which negative arc costs reduce to >= 0,
-    and each augmentation is one Dijkstra over reduced costs.
-    """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-        self.pot: list[int] = [0] * n
-
-    def add_arc(self, u: int, v: int, cap: int, cost: int) -> int:
-        aid = len(self.to)
-        self.adj[u].append(aid)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[v].append(aid + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return aid
-
-    def flow_on(self, aid: int) -> int:
-        return self.cap[aid ^ 1]
-
-    def seed_potentials(self) -> None:
-        """Set each potential to min(0, cheapest path cost into the node).
-
-        One pass in node order suffices because every arc points forward.
-        """
-        pot, to, cap, cost = self.pot, self.to, self.cap, self.cost
-        for u in range(self.n):
-            pu = pot[u]
-            for aid in self.adj[u]:
-                if cap[aid] > 0:
-                    v = to[aid]
-                    if pu + cost[aid] < pot[v]:
-                        pot[v] = pu + cost[aid]
-
-    def send_unit(self, src: int, sink: int) -> int:
-        """Push one unit along a shortest path; return its true cost.
-
-        Dijkstra stops when the sink is settled.  Nodes not settled by then
-        are at least as far, so raising every potential by
-        min(dist, dist[sink]) keeps all residual reduced costs >= 0.
-        """
-        n = self.n
-        dist: list[float] = [_INF] * n
-        parent = [-1] * n
-        done = bytearray(n)
-        dist[src] = 0
-        heap: list[tuple[float, int]] = [(0, src)]
-        adj, to, cap, cost, pot = self.adj, self.to, self.cap, self.cost, self.pot
-        while heap:
-            d, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = 1
-            if u == sink:
-                break
-            pu = pot[u]
-            for aid in adj[u]:
-                if cap[aid] <= 0:
-                    continue
-                v = to[aid]
-                if done[v]:
-                    continue
-                nd = d + cost[aid] + pu - pot[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = aid
-                    heapq.heappush(heap, (nd, v))
-        reach = int(dist[sink])
-        true_cost = reach + pot[sink] - pot[src]
-        for v in range(n):
-            pot[v] += min(dist[v], reach)
-        v = sink
-        while v != src:
-            aid = parent[v]
-            cap[aid] -= 1
-            cap[aid ^ 1] += 1
-            v = to[aid ^ 1]
-        return true_cost
+def _next_use(reqs: tuple[int, ...]) -> list[int]:
+    """0-based position of the next request to the same node after each
+    request, or len(reqs) if there is none."""
+    n = len(reqs)
+    nxt = [n] * n
+    last_seen: dict[int, int] = {}
+    for i in range(n - 1, -1, -1):
+        v = reqs[i]
+        nxt[i] = last_seen.get(v, n)
+        last_seen[v] = i
+    return nxt
 
 
 class _IntervalFlow:
-    """The interval network of one trace, for up to k servers."""
+    """The interval network of one trace (see the module docstring).
 
-    def __init__(self, trace: RequestTrace, k: int):
+    ``w[i]`` is the weight of the interval starting at node i and
+    ``into[t]`` the interval ending at node t < N, 0 for none; ``kept[i]``
+    says whether interval i carries a unit, and ``flow[t]`` counts the
+    units on request t.  Index 0 names no interval, so ``kept[0]`` is 0.
+    """
+
+    def __init__(self, trace: RequestTrace):
         n = len(trace)
         reqs = trace.requests
         # next request to the same node, 1-based; n + 1 = none
-        nxt = [n + 1] * (n + 1)
-        last_seen: dict[int, int] = {}
-        for j in range(n, 0, -1):
-            v = reqs[j - 1]
-            nxt[j] = last_seen.get(v, n + 1)
-            last_seen[v] = j
+        self.nxt = nxt = [n + 1] + [p + 1 for p in _next_use(reqs)]
         self.n = n
-        self.k = k
-        self.nxt = nxt
-        self.g = g = _MinCostFlow(n + 1)
-        for t in range(1, n + 1):
-            g.add_arc(t - 1, t, k, 0)
-        self.base = 0
-        self.interval_arcs: dict[int, int] = {}
+        self.w = w = [0] * (n + 1)
+        self.into = into = [0] * (n + 1)
         for i in range(1, n):
             if nxt[i] > i + 1:
-                w = trace.weights[reqs[i - 1]]
-                self.base += w
-                self.interval_arcs[i] = g.add_arc(i, nxt[i] - 1, 1, -w)
-        g.seed_potentials()
+                w[i] = trace.weights[reqs[i - 1]]
+                into[nxt[i] - 1] = i
+        self.base = sum(w)
+        self.kept = bytearray(n + 1)
+        self.flow = [0] * (n + 1)
+        # min(0, cheapest path cost into each node): one pass in node
+        # order suffices because every arc points forward
+        self.pot = pot = [0] * (n + 1)
+        for u in range(n):
+            pot[u + 1] = min(pot[u + 1], pot[u])
+            if w[u]:
+                pot[nxt[u] - 1] = min(pot[nxt[u] - 1], pot[u] - w[u])
 
-    def profile(self) -> list[int]:
+    def _send_unit(self) -> int:
+        """Push one unit from node 0 to node N along a shortest path; return
+        its true cost.
+
+        Dijkstra stops when node N is settled.  Nodes not settled by then
+        are at least as far, so raising every potential by
+        min(dist, dist[N]) keeps all residual reduced costs >= 0, and so
+        no relaxation lowers a settled node's dist.  On a tie a node keeps
+        the parent settled first, and two arcs out of one node that share a
+        head differ in cost by an interval weight, so the order in which a
+        node's arcs are relaxed never changes the schedule ``decode`` returns.
+        """
+        n, w, nxt, into, kept, flow, pot = (
+            self.n, self.w, self.nxt, self.into, self.kept, self.flow, self.pot
+        )
+        push, pop = heapq.heappush, heapq.heappop
+        dist: list[float] = [_INF] * (n + 1)
+        parent = [0] * (n + 1)
+        kind = bytearray(n + 1)
+        dist[0] = 0
+        heap: list[tuple[float, int]] = [(0, 0)]
+        while heap:
+            d, u = pop(heap)
+            if d > dist[u]:
+                continue
+            if u == n:
+                break
+            d += pot[u]
+            if flow[u]:
+                v = u - 1
+                nd = d - pot[v]
+                if nd < dist[v]:
+                    dist[v], parent[v], kind[v] = nd, u, _BACK
+                    push(heap, (nd, v))
+            v = u + 1
+            nd = d - pot[v]
+            if nd < dist[v]:
+                dist[v], parent[v], kind[v] = nd, u, _ON
+                push(heap, (nd, v))
+            v = into[u]
+            if kept[v]:
+                nd = d + w[v] - pot[v]
+                if nd < dist[v]:
+                    dist[v], parent[v], kind[v] = nd, u, _UNKEEP
+                    push(heap, (nd, v))
+            if w[u] and not kept[u]:
+                v = nxt[u] - 1
+                nd = d - w[u] - pot[v]
+                if nd < dist[v]:
+                    dist[v], parent[v], kind[v] = nd, u, _KEEP
+                    push(heap, (nd, v))
+        reach = int(dist[n])
+        true_cost = reach + pot[n] - pot[0]
+        self.pot = [p + min(dv, reach) for p, dv in zip(pot, dist)]
+        v = n
+        while v:
+            u = parent[v]
+            if kind[v] == _BACK:
+                flow[u] -= 1
+            elif kind[v] == _ON:
+                flow[v] += 1
+            elif kind[v] == _UNKEEP:
+                kept[v] = 0
+            else:
+                kept[u] = 1
+            v = u
+        return true_cost
+
+    def profile(self, k: int) -> list[int]:
         """[OPT(1), ..., OPT(j)], j <= k: one augmentation per extra server
         until one saves nothing; OPT keeps the last value from there to k."""
         profile = [self.base]
-        while len(profile) < self.k:
-            saving = self.g.send_unit(0, self.n)
+        while len(profile) < k:
+            saving = self._send_unit()
             if saving == 0:
                 break
             profile.append(profile[-1] + saving)
         return profile
 
-    def decode(self) -> tuple[int, ...]:
+    def decode(self, k: int) -> tuple[int, ...]:
         """Predecessor array of the flow left by ``profile`` (see the module
         docstring)."""
-        n, nxt, g = self.n, self.nxt, self.g
+        n, nxt, w, kept = self.n, self.nxt, self.w, self.kept
         pred = [-1] * (n + 1)
         pred[0] = 0
-        hands_on = [False] * (n + 1)
-        for i in range(1, n):
-            aid = self.interval_arcs.get(i)
-            hands_on[i] = aid is None or g.flow_on(aid) == 1
-            if hands_on[i] and nxt[i] <= n:
-                pred[nxt[i]] = i
         # at most n draws, so min(k, n) initial placements draw as k would
-        pool: deque[int] = deque([0] * min(self.k, n))
+        pool: deque[int] = deque([0] * min(k, n))
         for j in range(1, n + 1):
             if pred[j] < 0:
                 pred[j] = pool.popleft()
-            if not hands_on[j]:
+            if w[j] and not kept[j]:
                 pool.append(j)
+            elif nxt[j] <= n:
+                pred[nxt[j]] = j
         return tuple(pred)
 
 
@@ -253,7 +255,7 @@ def _interval_flow(trace: RequestTrace, k: int) -> _IntervalFlow:
             f"flow solver capped at {FLOW_CAP} requests, trace has {len(trace)}; "
             "use belady (unit weights) or sample the trace"
         )
-    return _IntervalFlow(trace, k)
+    return _IntervalFlow(trace)
 
 
 def resolve_opt_method(trace: RequestTrace, method: str) -> str:
@@ -276,13 +278,13 @@ def opt_flow(trace: RequestTrace, k: int) -> OptSchedule:
     ``opt_belady`` (unit weights) or sample the trace instead.
     """
     net = _interval_flow(trace, k)
-    cost = net.profile()[-1]
-    return OptSchedule(net.decode(), cost, k)
+    cost = net.profile(k)[-1]
+    return OptSchedule(net.decode(k), cost, k)
 
 
 def opt_flow_profile(trace: RequestTrace, k: int) -> list[int]:
     """[OPT(1), OPT(2), ..., OPT(k)] from one incremental flow solve."""
-    profile = _interval_flow(trace, k).profile()
+    profile = _interval_flow(trace, k).profile(k)
     return profile + [profile[-1]] * (k - len(profile))
 
 
@@ -296,14 +298,8 @@ def opt_belady(trace: RequestTrace, k: int) -> int:
         raise ValueError("opt_belady requires a unit-weight (paging) trace")
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(trace)
     reqs = trace.requests
-    nxt = [n] * n  # position of the next request to the same node, n = never
-    last_seen: dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        v = reqs[i]
-        nxt[i] = last_seen.get(v, n)
-        last_seen[v] = i
+    nxt = _next_use(reqs)  # len(reqs) = never
     cached: set[int] = set()
     upcoming: dict[int, int] = {}  # node -> its next use position
     heap: list[tuple[int, int]] = []  # (-next use, node), lazily invalidated
@@ -350,13 +346,9 @@ def opt_paging_profile(trace: RequestTrace, n: int) -> list[int]:
         raise ValueError("n must be >= 1")
     reqs = trace.requests
     size = len(reqs)
-    nxt = [0] * size  # priority after each request: its node's next use
-    last_seen: dict[int, int] = {}
-    for i in range(size - 1, -1, -1):
-        v = reqs[i]
-        nxt[i] = last_seen.get(v, size + i)
-        last_seen[v] = i
-    distinct = len(last_seen)
+    # priority after each request: its node's next use, size + i for none
+    nxt = [p if p < size else size + i for i, p in enumerate(_next_use(reqs))]
+    distinct = len(set(reqs))
     depth_cap = min(n, distinct)
     prio = [0] * len(trace.weights)
     held = bytearray(len(trace.weights))  # 1 = on the truncated stack

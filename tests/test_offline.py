@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ from cachecomp.offline import (
 from cachecomp.trace import RequestTrace, generate_cyclic, generate_random, parse_trace
 
 ABCA = parse_trace("a\nb\nc\na\n")
+PINNED_SCHEDULES = "8ff5649f7547ad8d0b098e9b20f1a02bd2c9f0fe0d17b34d46411d6eb79938a0"
 
 
 class TestOptFlow:
@@ -67,6 +69,9 @@ class TestOptFlow:
             ("", 3),  # empty trace
             ("a 4\n", 1),  # one request
             ("a 4\n", 2),
+            ("a 2\nb 3\nc 4\nd\n", 2),  # every interval runs to node N
+            ("a 2\nb 3\nc 4\nd\n", 3),
+            ("a 5\nb\na 5\nb\n", 2),  # interval parallel to a request arc
         ],
     )
     def test_schedule_edge_cases(self, text, k):
@@ -75,6 +80,21 @@ class TestOptFlow:
         assert len(sched.predecessor) == len(t) + 1
         if k >= t.distinct_requested():
             assert sched.cost == 0
+
+    def test_schedules_are_pinned(self):
+        """sha256 of the profiles and schedules on a seeded weighted corpus,
+        recorded with the paired-arc residual network.  ``optimal --out``
+        writes the predecessor array, and a solver that breaks Dijkstra's
+        ties another way returns another schedule of the same cost."""
+        h = hashlib.sha256()
+        rng = random.Random(24)
+        for trial in range(200):
+            t = generate_random(
+                rng.randint(1, 15), rng.randint(1, 120), rng.choice([1, 9, 50]), seed=trial
+            )
+            for k in (rng.randint(1, 4), rng.randint(5, 12)):
+                h.update(repr((opt_flow_profile(t, k), opt_flow(t, k).predecessor)).encode())
+        assert h.hexdigest() == PINNED_SCHEDULES
 
     def test_heavy_node_stays_parked(self):
         # h is never requested again; keeping its server parked saves 9,

@@ -18,12 +18,15 @@ Conventions that the downstream bounds depend on:
     distinct nodes when the earlier one is full.
   * ``avenew`` (the average m_i) is 0 with ``avenew_defined=False`` when
     P = 0; numeric consumers must check the flag.
+
+Harmonic numbers are exact rationals, built as a fresh table per call, up
+to ``EXACT_HARMONIC_LIMIT`` = 10^4; beyond it ``harmonic`` and
+``mark_upper_bound`` raise ValueError.  The module keeps no state.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,27 +43,21 @@ __all__ = [
 
 EXACT_HARMONIC_LIMIT = 10_000
 
-_harmonic_cache: list[Fraction] = [Fraction(0)]
-_harmonic_lock = threading.Lock()  # each entry extends the one before it
+
+def _harmonics(n: int) -> list[Fraction]:
+    """The exact table [H_0, H_1, ..., H_n], for 0 <= n <= 10^4."""
+    if not 0 <= n <= EXACT_HARMONIC_LIMIT:
+        raise ValueError(f"n must be in 0..{EXACT_HARMONIC_LIMIT}")
+    table = [Fraction(0)]
+    for j in range(1, n + 1):
+        table.append(table[-1] + Fraction(1, j))
+    return table
 
 
-def harmonic(n: int) -> Fraction | float:
-    """H_n = 1 + 1/2 + ... + 1/n, exact up to n = 10^4.
-
-    Beyond the exact limit a double-precision asymptotic expansion is used
-    (relative error below 1e-9); only diagnostics ever reach that range.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n <= EXACT_HARMONIC_LIMIT:
-        if n >= len(_harmonic_cache):
-            with _harmonic_lock:
-                while len(_harmonic_cache) <= n:
-                    m = len(_harmonic_cache)
-                    _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, m))
-        return _harmonic_cache[n]
-    euler_gamma = 0.5772156649015329
-    return math.log(n) + euler_gamma + 1 / (2 * n) - 1 / (12 * n * n)
+def harmonic(n: int) -> Fraction:
+    """H_n = 1 + 1/2 + ... + 1/n as an exact rational, for 0 <= n <= 10^4;
+    ValueError outside that range."""
+    return _harmonics(n)[-1]
 
 
 class PhasePartition(NamedTuple):
@@ -163,14 +160,12 @@ def mark_upper_bound(p: PhasePartition) -> Fraction:
     """
     if p.num_phases == 0:
         return Fraction(0)
-    h_k = harmonic(p.k)
-    if not isinstance(h_k, Fraction):
-        raise ValueError("k beyond the exact harmonic range")
+    h = _harmonics(p.k)
     total = Fraction(0)
     for m_i in p.m:
-        if m_i < 1:
-            raise ValueError("every phase beyond the first opens with a new request")
-        total += m_i * (h_k - harmonic(m_i) + 1)
+        if not 1 <= m_i <= p.k:
+            raise ValueError("every phase beyond the first has 1..k new requests")
+        total += m_i * (h[p.k] - h[m_i] + 1)
     return total
 
 

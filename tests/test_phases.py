@@ -1,6 +1,4 @@
 import random
-import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -8,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachecomp import phases
 from cachecomp.offline import opt_flow
 from cachecomp.phases import (
+    EXACT_HARMONIC_LIMIT,
     PhasePartition,
     harmonic,
     mark_upper_bound,
@@ -19,7 +17,7 @@ from cachecomp.phases import (
     verify_phase_shrink,
 )
 from cachecomp.strategies import run
-from cachecomp.trace import generate_random, parse_trace
+from cachecomp.trace import RequestTrace, generate_random, parse_trace
 from test_reference_strategies import traces
 
 ABCABD = parse_trace("a\nb\nc\na\nb\nd\n")
@@ -162,44 +160,20 @@ class TestHarmonic:
         assert harmonic(2) == Fraction(3, 2)
         assert harmonic(4) == Fraction(25, 12)
 
-    def test_float_tail_is_close(self):
-        exact = float(harmonic(10_000))
-        approx = harmonic(10_001)
-        assert isinstance(approx, float)
-        assert abs(approx - (exact + 1 / 10_001)) < 1e-9
+    def test_limit_value_is_the_direct_sum(self):
+        want = sum(Fraction(1, j) for j in range(1, 10_001))
+        assert harmonic(10_000) == want
+
+    def test_beyond_exact_limit_rejected(self):
+        k = EXACT_HARMONIC_LIMIT + 1
+        with pytest.raises(ValueError):
+            harmonic(k)
+        with pytest.raises(ValueError):
+            mark_upper_bound(PhasePartition(k, 2 * k, (0, k), (k,), (k, k)))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             harmonic(-1)
-
-    def test_threads_extending_the_cache(self, monkeypatch):
-        """Threads that extend an empty cache at once each see, and leave,
-        the exact partial sums."""
-        want = [Fraction(0)]
-        for m in range(1, 301):
-            want.append(want[-1] + Fraction(1, m))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                monkeypatch.setattr(phases, "_harmonic_cache", [Fraction(0)])
-                start = threading.Barrier(4)
-                seen = []
-
-                def worker():
-                    start.wait()
-                    seen.append(harmonic(300))
-
-                threads = [threading.Thread(target=worker) for _ in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-                assert seen == [want[300]] * 4
-                assert phases._harmonic_cache == want
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestMarkUpperBound:
@@ -215,6 +189,23 @@ class TestMarkUpperBound:
     def test_no_phases_no_bound(self):
         p = PhasePartition(2, 2, (0,), (), (2,))
         assert mark_upper_bound(p) == 0
+
+    @pytest.mark.parametrize("m_i", [0, 3])
+    def test_new_request_count_outside_1_to_k_rejected(self, m_i):
+        with pytest.raises(ValueError):
+            mark_upper_bound(PhasePartition(2, 4, (0, 2), (m_i,), (2, 2)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(trace=traces(), k=st.integers(1, 12))
+    def test_matches_direct_harmonic_sums(self, trace, k):
+        unit = RequestTrace(trace.requests, (1,) * trace.num_nodes, trace.labels)
+        p = partition(unit, k)
+
+        def h(n):
+            return sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
+
+        want = sum((m_i * (h(k) - h(m_i) + 1) for m_i in p.m), Fraction(0))
+        assert mark_upper_bound(p) == want
 
     def test_monte_carlo_mean_respects_bound(self):
         trials = 400

@@ -102,8 +102,9 @@ class SimulationResult(_Record):
     """A run: its cost and paid decisions, ``(request index, evicted node)``
     per move and ``(index, None)`` per flush.  The event log is expanded
     from these on first access, and the final placement from the log, so
-    neither costs O(k) unless the placement is read.  The repr omits the
-    trace."""
+    neither costs O(k) unless the placement is read.  The expansion
+    rejects decisions that do not fit the trace with ``ValueError``.  The
+    repr omits the trace."""
 
     _fields = ("strategy", "k", "total_cost", "paid", "trace")
     _hidden = ("trace",)
@@ -121,20 +122,30 @@ class SimulationResult(_Record):
 
     @cached_property
     def events(self) -> tuple[Event, ...]:
-        """One event per request, plus a free event after each flush."""
+        """One event per request, plus a free event after each flush.
+
+        Raises ``ValueError`` naming the first 1-based request that a paid
+        decision does not fit: each decision must fall at a miss with all
+        k servers placed, every such miss needs one, a move must evict a
+        served node, and no decision may be left after the last request."""
         weights = self.trace.weights
         served: set[int] = set()
         events: list[Event] = []
         decisions = iter(self.paid)
-        due, evicted = next(decisions, (-1, None))
+        due, evicted = next(decisions, (None, None))
         for i, v in enumerate(self.trace.requests):
-            if v in served:
+            hit = v in served
+            if (i == due) == (hit or len(served) < self.k):
+                raise ValueError(f"paid decisions do not fit request {i + 1}")
+            if hit:
                 events.append(Event(i, v, HIT))
                 continue
             if i == due:
                 u = evicted
-                due, evicted = next(decisions, (-1, None))
+                due, evicted = next(decisions, (None, None))
                 if u is not None:
+                    if u not in served:
+                        raise ValueError(f"request {i + 1} evicts an unserved node")
                     served.remove(u)
                     served.add(v)
                     events.append(Event(i, v, MOVE, evicted=u, cost=weights[u]))
@@ -144,6 +155,8 @@ class SimulationResult(_Record):
                 served.clear()
             served.add(v)
             events.append(Event(i, v, FREE))
+        if due is not None:
+            raise ValueError(f"paid decisions do not fit: request {due + 1} is left over")
         return tuple(events)
 
     @cached_property

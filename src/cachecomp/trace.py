@@ -115,29 +115,25 @@ def parse_trace(text: str) -> RequestTrace:
     """Parse the text trace format.
 
     One request per line: ``<label> [<weight>]``.  ``#`` starts a comment,
-    blank lines are ignored, labels are arbitrary non-whitespace tokens.
+    blank lines are ignored, labels are arbitrary non-whitespace tokens,
+    and nodes are numbered 0, 1, ... in order of first appearance.
     A node's weight defaults to 1 when never given explicitly; an explicit
     weight applies to the node for the whole trace, and restating a
     different explicit weight for the same node is an error.
     """
-    ids: dict[str, int] = {}
-    labels: list[str] = []
+    ids: dict[str, int] = {}  # label -> node; iterates in first-appearance order
     explicit: dict[int, int] = {}
     requests: list[int] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) > 2:
             raise TraceParseError("expected '<label> [<weight>]'", lineno)
-        label = tokens[0]
-        node = ids.get(label)
-        if node is None:
-            node = len(labels)
-            ids[label] = node
-            labels.append(label)
+        node = ids.setdefault(tokens[0], len(ids))
         if len(tokens) == 2:
             try:
                 w = int(tokens[1])
@@ -145,16 +141,14 @@ def parse_trace(text: str) -> RequestTrace:
                 raise TraceParseError(f"bad weight {tokens[1]!r}", lineno) from None
             if w <= 0:
                 raise TraceDomainError(f"line {lineno}: weight must be positive, got {w}")
-            prev = explicit.get(node)
-            if prev is not None and prev != w:
+            if explicit.setdefault(node, w) != w:
                 raise TraceParseError(
-                    f"conflicting weight for {label!r}: {prev} then {w}", lineno
+                    f"conflicting weight for {tokens[0]!r}: {explicit[node]} then {w}", lineno
                 )
-            explicit[node] = w
         requests.append(node)
 
-    weights = tuple(explicit.get(i, 1) for i in range(len(labels)))
-    return RequestTrace(tuple(requests), weights, tuple(labels))
+    weights = tuple(explicit.get(i, 1) for i in range(len(ids)))
+    return RequestTrace(tuple(requests), weights, tuple(ids))
 
 
 def serialize_trace(trace: RequestTrace) -> str:

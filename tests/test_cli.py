@@ -382,12 +382,14 @@ TRACE_BYTES = st.one_of(
         )
     ),
 )
-FUZZ_ARGV = {
-    "simulate": ["--k", "2", "--strategy", "greedydual:min", "-v"],
-    "sweep": ["--n", "3", "--strategies", "lru,fwf,mark,balance", "--trials", "2",
+FUZZ_ARGV = {  # case id -> subcommand and its flags
+    "simulate": ["simulate", "--k", "2", "--strategy", "greedydual:min", "-v"],
+    "sweep": ["sweep", "--n", "3", "--strategies", "lru,fwf,mark,balance", "--trials", "2",
               "--c-family", "log:2"],
-    "certify": ["--k", "2"],
-    "phases": ["--k", "2", "-v"],
+    "certify": ["certify", "--k", "2"],
+    "phases": ["phases", "--k", "2", "-v"],
+    "optimal-flow": ["optimal", "--k", "2", "--opt", "flow", "-v"],
+    "optimal-auto": ["optimal", "--k", "2", "--opt", "auto"],
 }
 
 
@@ -403,7 +405,8 @@ class TestFuzzedTraces:
             path.write_bytes(data)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([command, "--trace", str(path), *FUZZ_ARGV[command]])
+                subcommand, *flags = FUZZ_ARGV[command]
+                code = cli.main([subcommand, "--trace", str(path), *flags])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if code:

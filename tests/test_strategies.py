@@ -16,6 +16,7 @@ from cachecomp.strategies import (
     MAX_LOWER,
     MIN_LOWER,
     MOVE,
+    SimulationResult,
     mark_stream,
     parse_strategy,
     replay_mark,
@@ -307,6 +308,42 @@ class TestResultInvariants:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             run("lru", 0, ABCA)
+
+
+ABACD = parse_trace("a\nb\na\nc\nd\n")  # nodes a=0, b=1, c=2, d=3
+
+
+class TestMisfitDecisions:
+    """Expanding the event log checks the paid decisions against the trace
+    and names the first 1-based request they do not fit."""
+
+    @staticmethod
+    def _expand(paid, k=2):
+        result = SimulationResult("lru", k, len(paid), tuple(paid), ABACD)  # builds lazily
+        return result.events
+
+    def test_decision_at_a_hit(self):
+        with pytest.raises(ValueError, match=r"^paid decisions do not fit request 3$"):
+            self._expand([(2, 0)])
+
+    def test_decision_while_a_server_is_unplaced(self):
+        with pytest.raises(ValueError, match=r"^paid decisions do not fit request 2$"):
+            self._expand([(1, 0)])
+
+    def test_full_cache_miss_without_a_decision(self):
+        with pytest.raises(ValueError, match=r"^paid decisions do not fit request 4$"):
+            self._expand([])
+
+    def test_victim_not_served(self):
+        with pytest.raises(ValueError, match=r"^request 4 evicts an unserved node$"):
+            self._expand([(3, 2), (4, 1)])
+
+    def test_decision_left_over(self):
+        with pytest.raises(
+            ValueError, match=r"^paid decisions do not fit: request 10 is left over$"
+        ):
+            self._expand([(3, 0), (4, 1), (9, 0)])
+        assert len(self._expand([(3, 0), (4, 1)])) == 5
 
 
 def _traced_peak(fn, *args):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachecomp.trace import (
     RequestTrace,
@@ -59,6 +61,78 @@ class TestParse:
         t = parse_trace("z\ny\nx\nz\n")
         assert t.labels == ("z", "y", "x")
         assert t.requests == (0, 1, 2, 0)
+
+
+def reference_parse(text):
+    """The per-line parser ``parse_trace`` was written as, kept as its
+    oracle: one ``labels`` list beside the ``ids`` dict, and comments cut
+    and blank lines dropped line by line."""
+    ids = {}
+    labels = []
+    explicit = {}
+    requests = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) > 2:
+            raise TraceParseError("expected '<label> [<weight>]'", lineno)
+        label = tokens[0]
+        node = ids.get(label)
+        if node is None:
+            node = len(labels)
+            ids[label] = node
+            labels.append(label)
+        if len(tokens) == 2:
+            try:
+                w = int(tokens[1])
+            except ValueError:
+                raise TraceParseError(f"bad weight {tokens[1]!r}", lineno) from None
+            if w <= 0:
+                raise TraceDomainError(f"line {lineno}: weight must be positive, got {w}")
+            prev = explicit.get(node)
+            if prev is not None and prev != w:
+                raise TraceParseError(
+                    f"conflicting weight for {label!r}: {prev} then {w}", lineno
+                )
+            explicit[node] = w
+        requests.append(node)
+    weights = tuple(explicit.get(i, 1) for i in range(len(labels)))
+    return RequestTrace(tuple(requests), weights, tuple(labels))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+LINE_SEPARATORS = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\x85", "\u2028"])
+# repeated entries tilt the draw toward valid weights, so conflicts occur
+TRACE_LINES = st.one_of(
+    st.sampled_from(["", "  ", "\t", "# note", " #7"]),
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["a", "b", "c", "é", "a#b", "#c", "b#"]),
+        st.sampled_from(["", "", " 1", " 3", " 3", " 7", " 0", " -2", " x", " 1.5",
+                         " 1" + "0" * 400]),
+        st.sampled_from(["", "", "", " ", " 9", " # note", "#1 2 3"]),
+    ),
+)
+TRACE_TEXT = st.builds(
+    lambda pairs, last: "".join(line + sep for line, sep in pairs) + last,
+    st.lists(st.tuples(TRACE_LINES, LINE_SEPARATORS), max_size=12),
+    TRACE_LINES,
+)
+
+
+class TestAgainstReferenceParser:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(text=TRACE_TEXT)
+    def test_same_trace_or_same_error(self, text):
+        assert _outcome(parse_trace, text) == _outcome(reference_parse, text)
 
 
 class TestRoundTrip:

@@ -220,6 +220,8 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
     served: dict[int, ServedEntry] = {}
     raised = distance = 0
     offsets = [0]  # offsets[0] is the offset before request 1
+    # SimulationResult.events checks the same fit of the paid decisions with
+    # the same messages; change the two together.
     history: list[StepRecord] = []
     decisions = zip(result.paid, levels)
     (due, evicted), level = next(decisions, (_NO_MOVE, None))

@@ -128,6 +128,8 @@ class SimulationResult(_Record):
         decision does not fit: each decision must fall at a miss with all
         k servers placed, every such miss needs one, a move must evict a
         served node, and no decision may be left after the last request."""
+        # dualcert._replay checks the same fit with the same messages;
+        # change the two together.
         weights = self.trace.weights
         served: set[int] = set()
         events: list[Event] = []

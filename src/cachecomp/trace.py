@@ -125,10 +125,8 @@ def parse_trace(text: str) -> RequestTrace:
     explicit: dict[int, int] = {}
     requests: list[int] = []
 
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         if len(tokens) > 2:

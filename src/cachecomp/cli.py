@@ -9,7 +9,8 @@ byte-deterministic for a fixed argv: seeds default to a fixed constant
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 certificate
 check failure, 141 stdout closed before all output was written (as for
 a process killed by SIGPIPE, e.g. ``cachecomp sweep ... | head``).
-README's exit-code paragraph lists every domain error.
+README's exit-code paragraph lists every domain error, among them a
+sweep above a cap on ``--n``, ``--trials`` or marking's work.
 
 A process loads only the layers its subcommand runs: ``optimal`` loads
 ``trace`` and ``offline``, and ``sweep`` is the only subcommand that

@@ -30,15 +30,16 @@ at which that server last moved.
 The offset changes only when the algorithm pays, so the run is fully
 described by its paid decisions and the offset each one lowers to.
 ``run_greedydual_certified`` runs that one engine and replays those
-decisions once, walking the trace.  The replay makes no decision; it
-rebuilds the served multiset, the offset at each request and (a, b), and
-checks in exact arithmetic that
+decisions once, walking the trace.  The replay makes no decision: it
+takes each request's outcome from ``strategies._walk_decisions``, which
+checks that a paid decision, and so a raise, sits at exactly each miss
+that finds every server placed.  It rebuilds the served multiset, the
+offset at each request and (a, b), and checks in exact arithmetic that
 
-  * a paid decision sits at exactly each miss that finds every server
-    placed, so a raise happens only there, and no offset decreases;
+  * no offset decreases;
   * b[i+1] <= w(r_i) for every served request i (H >= 0); b[i+1] only
     rises while i is served, so this is checked once, as i leaves S;
-  * the evicted server is served and has L <= 0;
+  * the evicted server has L <= 0;
   * at the end, the paid distance is the run's total cost.
 
 The slack k * (total raise) - (sum over served requests i of b[i'+1])
@@ -63,9 +64,10 @@ The served multiset is not kept per step.  Each request changes it by at
 most one removal and one insertion, so one O(N) walk of the trace beside
 the run's paid decisions rebuilds it in request order (``served_steps``;
 ``served_b_sum`` and ``dual_at_step`` take that step's multiset), and a
-run keeps no walk state.  The certified run therefore holds O(N + k)
-memory, and ``write_certificate`` streams the text certificate one line
-at a time.
+run keeps no walk state; like the replay, it raises ``CertificateError``
+on decisions that break the placement rule.  The certified run therefore
+holds O(N + k) memory, and ``write_certificate`` streams the text
+certificate one line at a time.
 """
 
 from __future__ import annotations
@@ -74,11 +76,10 @@ import heapq
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple, TextIO, TypeVar
 
-from .strategies import FREE, HIT, MAX_LOWER, MOVE, SimulationResult, _label_loop
+from .strategies import FREE, HIT, MAX_LOWER, MOVE, SimulationResult, _label_loop, _walk_decisions
 from .trace import RequestTrace, _Record
 
 _Entry = TypeVar("_Entry")
-_NO_MOVE = (None, None)  # (request index, evicted node) once the decisions run out
 
 __all__ = [
     "DualSolution",
@@ -156,6 +157,13 @@ class CertifiedRun(NamedTuple):
     relabels: tuple[tuple[int, int], ...]  # (1-based request, raise amount)
 
 
+def _fitted(result: SimulationResult) -> Iterator[int | str]:
+    """``_walk_decisions`` of a run that never flushes, raising ``CertificateError``."""
+    return _walk_decisions(
+        result.trace, result.k, result.paid, flushes=False, error=CertificateError
+    )
+
+
 def _served_walk(
     result: SimulationResult, entry: Callable[[int, int], _Entry]
 ) -> Iterator[dict[int, _Entry]]:
@@ -163,21 +171,18 @@ def _served_walk(
 
     Yields after each request one dict, updated in place, mapping each
     served node to ``entry(i, moved)`` for its 1-based request ``i`` and
-    the request ``moved`` at which its server last moved.  A miss moves
-    the server of the node its paid decision evicts, or places an unplaced
-    one when no decision is due.  A request re-inserts its node, so the
-    values stay ordered by ``i``; the unplaced servers are
-    ``StepRecord.zero_mult``."""
+    the request ``moved`` at which its server last moved.  A miss places
+    a server or moves that of the node ``_fitted`` names.  A request
+    re-inserts its node, so the values stay ordered by ``i``; the unplaced
+    servers are ``StepRecord.zero_mult``."""
     served: dict[int, _Entry] = {}
     moved_at: dict[int, int] = {}
-    decisions = iter(result.paid)
-    due, evicted = next(decisions, _NO_MOVE)
-    for idx, v in enumerate(result.trace.requests, start=1):
+    walk = zip(result.trace.requests, _fitted(result), strict=True)
+    for idx, (v, u) in enumerate(walk, start=1):
         if served.pop(v, None) is None:
             moved_at[v] = idx
-            if idx - 1 == due:
-                del served[evicted], moved_at[evicted]
-                due, evicted = next(decisions, _NO_MOVE)
+            if u is not FREE:
+                del served[u], moved_at[u]
         served[v] = entry(idx, moved_at[v])
         yield served
 
@@ -206,7 +211,8 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
     it after each request as ``offsets``, so that once request n has
     relabelled, raised = offsets[n] and the current b[j] for j <= n is
     raised - offsets[j-1].  H >= 0 is checked as each request leaves S:
-    when a hit supersedes it, when it is evicted, or at the end."""
+    when a hit supersedes it, when it is evicted, or at the end.  Each
+    request's outcome comes from ``_fitted``."""
     trace, k = result.trace, result.k
     n = len(trace)
     weights = trace.weights
@@ -220,42 +226,35 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
     served: dict[int, ServedEntry] = {}
     raised = distance = 0
     offsets = [0]  # offsets[0] is the offset before request 1
-    # SimulationResult.events checks the same fit of the paid decisions with
-    # the same messages; change the two together.
     history: list[StepRecord] = []
-    decisions = zip(result.paid, levels)
-    (due, evicted), level = next(decisions, (_NO_MOVE, None))
+    level_at = iter(levels)
 
-    for idx, v in enumerate(trace.requests, start=1):
-        old = served.pop(v, None)
-        if (idx - 1 == due) != (old is None and not zero_mult):
-            raise CertificateError(f"paid decisions do not fit request {idx}")
-        if old is not None:
+    walk = zip(trace.requests, _fitted(result), strict=True)
+    for idx, (v, u) in enumerate(walk, start=1):
+        if u is HIT:
+            old = served.pop(v)
             moved = old.moved
             if raised - offsets[old.i] > weights[v]:
                 raise CertificateError(f"b[{old.i + 1}] exceeds served weight at request {idx}")
             left[old.i] = raised  # the superseded request exits S here
-        elif zero_mult > 0:
+        elif u is FREE:
             moved = idx
             zero_mult -= 1  # no raise comes before the last placement: b[1] is 0
         else:
-            rho = level - raised
+            rho = next(level_at) - raised
             if rho < 0:
                 raise CertificateError(f"negative raise {rho} at request {idx}")
-            raised = level
+            raised += rho
             if rho:
                 relabels.append((idx, rho))
-            victim = served.pop(evicted, None)
-            if victim is None:
-                raise CertificateError(f"request {idx} evicts an unserved node")
-            if raised - offsets[victim.i] > weights[evicted]:
+            victim = served.pop(u)
+            if raised - offsets[victim.i] > weights[u]:
                 raise CertificateError(f"b[{victim.i + 1}] exceeds served weight at request {idx}")
-            if weights[evicted] > raised - offsets[victim.moved]:
+            if weights[u] > raised - offsets[victim.moved]:
                 raise CertificateError(f"evicted server has L > 0 at request {idx}")
             left[victim.i] = raised
-            distance += weights[evicted]
+            distance += weights[u]
             moved = idx
-            (due, evicted), level = next(decisions, (_NO_MOVE, None))
         offsets.append(raised)
         served[v] = ServedEntry(idx, moved)
         history.append(StepRecord(zero_mult, raised, distance))
@@ -264,8 +263,6 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
         if raised - offsets[entry.i] > weights[v]:
             raise CertificateError(f"b[{entry.i + 1}] exceeds served weight at request {n}")
         left[entry.i] = raised
-    if due is not None:
-        raise CertificateError(f"paid decisions do not fit: request {due + 1} is left over")
     if distance != result.total_cost:
         raise CertificateError(f"paid distance {distance} != total cost {result.total_cost}")
     b = [0] + [raised - x for x in offsets[:n]]

@@ -27,6 +27,7 @@ to ``EXACT_HARMONIC_LIMIT`` = 10^4; beyond it ``harmonic`` and
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -105,35 +106,42 @@ class PhasePartition(NamedTuple):
         return out
 
 
-def partition(trace: RequestTrace, k: int) -> PhasePartition:
-    """Decompose the trace into k-phases (greedy maximal substrings),
-    keeping only the previous and the current phase's node sets."""
+def _k_phases(requests: Sequence[int], k: int) -> Iterator[dict[int, int]]:
+    """Each k-phase in turn, as its nodes mapped to their first request in
+    it; a phase ends just before a request to its (k+1)-th distinct node."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    reqs, weights = trace.requests, trace.weights
-    boundaries = [0] if reqs else []
-    m: list[int] = []  # one per phase, the first phase's dropped at the end
-    phase_weights: list[int] = []
-    previous: set[int] = set()
-    current: set[int] = set()
-    new = held = 0
-    for i, v in enumerate(reqs):
+    current: dict[int, int] = {}
+    for i, v in enumerate(requests):
         if v in current:
             continue
         if len(current) == k:
-            m.append(new)
-            phase_weights.append(held)
-            boundaries.append(i)
-            previous, current = current, set()
-            new = held = 0
-        current.add(v)
-        new += v not in previous
-        held += weights[v]
-    if reqs:
+            yield current
+            current = {}
+        current[v] = i
+    if current:
+        yield current
+
+
+def partition(trace: RequestTrace, k: int) -> PhasePartition:
+    """Decompose the trace into k-phases (greedy maximal substrings),
+    keeping only the previous and the current phase's nodes."""
+    weights = trace.weights
+    boundaries: list[int] = []
+    m: list[int] = []  # one per phase, the first phase's dropped at the end
+    phase_weights: list[int] = []
+    previous: dict[int, int] = {}
+    for current in _k_phases(trace.requests, k):
+        new = held = 0
+        for v in current:
+            new += v not in previous
+            held += weights[v]
+        boundaries.append(next(iter(current.values())))  # its first request
         m.append(new)
         phase_weights.append(held)
+        previous = current
     return PhasePartition(
-        k, len(reqs), tuple(boundaries), tuple(m[1:]), tuple(phase_weights)
+        k, len(trace), tuple(boundaries), tuple(m[1:]), tuple(phase_weights)
     )
 
 

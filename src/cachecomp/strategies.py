@@ -13,18 +13,20 @@ min-lowering with ties by server id (see ``_label_loop``).
 Flush-when-full, which flushes at every k-phase boundary after the
 first, is read off ``phases.partition`` (``fwf_cost``).  Randomized
 marking is a phase stream and a replay: ``mark_stream`` records each
-k-phase's opening cache and first requests, and ``replay_mark`` draws
-one seed's evictions from it, so a sweep builds one stream per k for all
-its trials.  ``lru_cost_profile`` gives LRU's cost for every k from one
+k-phase's opening cache and first requests, from the k-phase loop of
+``partition``, and ``replay_mark`` draws one seed's evictions from it,
+so a sweep builds one stream per k for all its trials.
+``lru_cost_profile`` gives LRU's cost for every k from one
 stack-distance pass on any weights: a reuse misses iff at least k other
 nodes were requested since its node's last request, and each such miss
 means the node was evicted once in between; after its last request a
 node is evicted iff it is not among the k most recently requested.
 Sweeps read only the cost, so they never build a per-request log;
 ``SimulationResult.events`` is expanded from the decisions on first
-access.  A placed server is never unplaced except by a flush, which
-unplaces them all, so the lowest unplaced server id is always the number
-of servers placed.
+access.  It and ``dualcert``'s walks read the decisions through
+``_walk_decisions``, their one fit check.  A placed server is never
+unplaced except by a flush, which unplaces them all, so the lowest
+unplaced server id is always the number of servers placed.
 
 Strategies are plain names, canonicalized by ``parse_strategy``;
 ``UNIT_WEIGHT_TWINS`` records which of them decide alike on unit
@@ -36,10 +38,12 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import OrderedDict
+from collections.abc import Iterable, Iterator
 from functools import cached_property
+from itertools import pairwise
 from typing import NamedTuple
 
-from .phases import PhasePartition, partition
+from .phases import PhasePartition, _k_phases, partition
 from .trace import RequestTrace, _Record
 
 __all__ = [
@@ -102,9 +106,8 @@ class SimulationResult(_Record):
     """A run: its cost and paid decisions, ``(request index, evicted node)``
     per move and ``(index, None)`` per flush.  The event log is expanded
     from these on first access, and the final placement from the log, so
-    neither costs O(k) unless the placement is read.  The expansion
-    rejects decisions that do not fit the trace with ``ValueError``.  The
-    repr omits the trace."""
+    neither costs O(k) unless the placement is read.  The repr omits the
+    trace."""
 
     _fields = ("strategy", "k", "total_cost", "paid", "trace")
     _hidden = ("trace",)
@@ -122,43 +125,25 @@ class SimulationResult(_Record):
 
     @cached_property
     def events(self) -> tuple[Event, ...]:
-        """One event per request, plus a free event after each flush.
-
-        Raises ``ValueError`` naming the first 1-based request that a paid
-        decision does not fit: each decision must fall at a miss with all
-        k servers placed, every such miss needs one, a move must evict a
-        served node, and no decision may be left after the last request."""
-        # dualcert._replay checks the same fit with the same messages;
-        # change the two together.
+        """One event per request, plus a free event after each flush;
+        ``ValueError`` if the decisions misfit (``_walk_decisions``)."""
         weights = self.trace.weights
-        served: set[int] = set()
         events: list[Event] = []
-        decisions = iter(self.paid)
-        due, evicted = next(decisions, (None, None))
-        for i, v in enumerate(self.trace.requests):
-            hit = v in served
-            if (i == due) == (hit or len(served) < self.k):
-                raise ValueError(f"paid decisions do not fit request {i + 1}")
-            if hit:
+        held = 0  # the served nodes' summed weight, which a flush pays
+        walk = _walk_decisions(self.trace, self.k, self.paid)
+        for i, (v, u) in enumerate(zip(self.trace.requests, walk, strict=True)):
+            if u is HIT:
                 events.append(Event(i, v, HIT))
                 continue
-            if i == due:
-                u = evicted
-                due, evicted = next(decisions, (None, None))
-                if u is not None:
-                    if u not in served:
-                        raise ValueError(f"request {i + 1} evicts an unserved node")
-                    served.remove(u)
-                    served.add(v)
-                    events.append(Event(i, v, MOVE, evicted=u, cost=weights[u]))
-                    continue
-                cost = sum(weights[u] for u in served)
-                events.append(Event(i, v, FLUSH, cost=cost))
-                served.clear()
-            served.add(v)
+            if u is FLUSH:
+                events.append(Event(i, v, FLUSH, cost=held))
+                held = 0
+            elif u is not FREE:
+                events.append(Event(i, v, MOVE, evicted=u, cost=weights[u]))
+                held += weights[v] - weights[u]
+                continue
+            held += weights[v]
             events.append(Event(i, v, FREE))
-        if due is not None:
-            raise ValueError(f"paid decisions do not fit: request {due + 1} is left over")
         return tuple(events)
 
     @cached_property
@@ -176,6 +161,48 @@ class SimulationResult(_Record):
         for v, s in where.items():
             node_of[s] = v
         return tuple(node_of)
+
+
+def _walk_decisions(
+    trace: RequestTrace,
+    k: int,
+    paid: Iterable[tuple[int, int | None]],
+    flushes: bool = True,
+    error: type[Exception] = ValueError,
+) -> Iterator[int | str]:
+    """Yield, per request, what it does under the paid decisions: ``HIT``,
+    ``FREE`` (it places a server), the node its move evicts, or ``FLUSH``
+    (it unplaces every server, then places one); callers tell the markers
+    from node ids by identity.  This is the one fit check: a decision falls
+    at exactly each miss that finds all k servers placed, and a move evicts
+    a served node (so does a flush when ``flushes`` is false).  The first
+    misfit, or a decision left over, raises ``error`` naming its 1-based
+    request."""
+    served: set[int] = set()
+    decisions = iter(paid)
+    due, evicted = next(decisions, (None, None))
+    for i, v in enumerate(trace.requests):
+        hit = v in served
+        if (i == due) == (hit or len(served) < k):
+            raise error(f"paid decisions do not fit request {i + 1}")
+        if hit:
+            yield HIT
+        elif i != due:
+            served.add(v)
+            yield FREE
+        else:
+            u, (due, evicted) = evicted, next(decisions, (None, None))
+            if u is None and flushes:
+                served.clear()
+                u = FLUSH
+            elif u in served:
+                served.remove(u)
+            else:
+                raise error(f"request {i + 1} evicts an unserved node")
+            served.add(v)
+            yield u
+    if due is not None:
+        raise error(f"paid decisions do not fit: request {due + 1} is left over")
 
 
 def parse_strategy(spec: str) -> str:
@@ -217,22 +244,11 @@ def mark_stream(trace: RequestTrace, k: int) -> list:
     means the node was in the previous phase.  Each node list is that of
     a full phase, which spans at least k requests, so the stream holds
     O(N) entries."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    stream: list = []
-    previous: set[int] = set()
-    current: set[int] = set()
-    firsts: list | None = None  # None during the first phase
-    for i, v in enumerate(trace.requests):
-        if v in current:
-            continue
-        if len(current) == k:
-            previous, current, firsts = current, set(), []
-            stream.append((sorted(previous), firsts))
-        current.add(v)
-        if firsts is not None:
-            firsts.append((i, v, v in previous))
-    return stream
+    phases = _k_phases(trace.requests, k)
+    return [
+        (sorted(previous), [(i, v, v in previous) for v, i in current.items()])
+        for previous, current in pairwise(phases)
+    ]
 
 
 def replay_mark(stream: list, seed: int) -> list:

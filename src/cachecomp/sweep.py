@@ -26,9 +26,10 @@ seeded replays, from one phase stream per k that every trial replays.
 Rows with k at least the number of distinct requested nodes evict
 nothing, so they are filled with zeros and run nothing, and the OPT
 stack stops at the last row that evicts; the flow profile stops by
-itself once an extra server saves nothing.  At most ``SWEEP_N_CAP``
-rows are swept, with at most ``SWEEP_TRIALS_CAP`` marking trials per
-row, both checked before any solver runs.
+itself once an extra server saves nothing.  The caps ``SWEEP_N_CAP``
+on rows, ``SWEEP_TRIALS_CAP`` on marking trials per row and
+``SWEEP_MARK_WORK_CAP`` on marking's replay work are checked before any
+solver runs.
 """
 
 from __future__ import annotations
@@ -66,11 +67,16 @@ __all__ = [
     "VIOLATOR_BOUND_CONSTANT",
     "SWEEP_N_CAP",
     "SWEEP_TRIALS_CAP",
+    "SWEEP_MARK_WORK_CAP",
 ]
 
 VIOLATOR_BOUND_CONSTANT = 8
 SWEEP_N_CAP = 100_000  # most values of k one sweep tabulates
 SWEEP_TRIALS_CAP = 100_000  # most marking trials one sweep replays per k
+# most marking work one sweep replays: rows that evict x trials x (requests
+# + a replay's fixed cost), at up to 0.4 us a unit on a 2-vCPU VM: a minute
+SWEEP_MARK_WORK_CAP = 150_000_000
+MARK_REPLAY_OVERHEAD = 25  # a replay's fixed cost (about 9 us), in requests
 MAX_EXPONENT = 4300  # as many digits as int() reads by default
 
 
@@ -205,7 +211,8 @@ def sweep(
     k, and the trial index only, so results are independent of evaluation
     order; the table equals running every strategy and trial on its own
     for each k.  A strategy named twice (after ``parse_strategy``), an n
-    above ``SWEEP_N_CAP``, ``mark_trials`` above ``SWEEP_TRIALS_CAP`` and
+    above ``SWEEP_N_CAP``, ``mark_trials`` above ``SWEEP_TRIALS_CAP``,
+    marking work above ``SWEEP_MARK_WORK_CAP`` (when ``mark`` is swept) and
     weights beyond float range are rejected before any solver runs.  The
     offline optima come first, so an infeasible method or a trace over
     ``offline.FLOW_CAP`` fails before any strategy runs.
@@ -226,6 +233,11 @@ def sweep(
     # with k >= the number of distinct requested nodes nothing is ever
     # evicted, so only the rows k <= busy run anything
     busy = max(min(n, trace.distinct_requested() - 1), 0)
+    work = busy * mark_trials * (len(trace) + MARK_REPLAY_OVERHEAD)
+    if "mark" in names and work > SWEEP_MARK_WORK_CAP:
+        raise ValueError(
+            f"marking work {work} is above SWEEP_MARK_WORK_CAP = {SWEEP_MARK_WORK_CAP}"
+        )
     if method == "flow":
         opt_costs = offline.opt_flow_profile(trace, n)
     else:

@@ -183,6 +183,17 @@ class TestSweep:
         assert proc.returncode == cli.DOMAIN_ERROR and proc.stdout == ""
         assert proc.stderr == "error: mark_trials must be between 1 and 100000, got 1000000000\n"
 
+    def test_marking_work_above_cap_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("".join(f"p{i % 200}\n" for i in range(2000)), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "sweep", "--trace", str(path), "--n", "64", "--strategies", "lru,mark",
+            "--trials", "100000",
+        )
+        assert code == cli.DOMAIN_ERROR and out == ""
+        assert err.startswith("error: marking work ") and err.count("\n") == 1
+        assert "SWEEP_MARK_WORK_CAP = 150000000" in err
+
     def test_stdout_csv(self, capsys, trace_file):
         code, out, _ = run_cli(
             capsys, "sweep", "--trace", trace_file, "--n", "3",

@@ -2,12 +2,20 @@ import contextlib
 import hashlib
 import io
 import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from cachecomp import cli
-from cachecomp.dualcert import run_greedydual_certified
+from cachecomp import cli, strategies
+from cachecomp.dualcert import (
+    CertificateError,
+    _replay,
+    check_primal_dual_bound,
+    run_greedydual_certified,
+    served_steps,
+)
 from cachecomp.offline import opt_bruteforce, opt_flow, opt_single_server
 from cachecomp.strategies import (
     FLUSH,
@@ -314,36 +322,76 @@ ABACD = parse_trace("a\nb\na\nc\nd\n")  # nodes a=0, b=1, c=2, d=3
 
 
 class TestMisfitDecisions:
-    """Expanding the event log checks the paid decisions against the trace
-    and names the first 1-based request they do not fit."""
+    """Paid decisions that do not fit the trace are rejected, naming the
+    first 1-based request they do not fit, by every walk of them: the
+    event log with ``ValueError``, and the certified replay, the served-set
+    walk and the bound check with ``CertificateError``.  Each test is one
+    row of the table, run through all four."""
 
     @staticmethod
-    def _expand(paid, k=2):
-        result = SimulationResult("lru", k, len(paid), tuple(paid), ABACD)  # builds lazily
-        return result.events
+    def _result(trace, paid, k=2):
+        return SimulationResult("greedydual:max", k, len(paid), tuple(paid), trace)  # builds lazily
+
+    def _rejected(self, trace, paid, message):
+        misfit = self._result(trace, paid)
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=exact):
+            misfit.events
+        with pytest.raises(CertificateError, match=exact):
+            _replay(misfit, [1] * len(paid))  # unit raises pass every fitting move's checks
+        certified = run_greedydual_certified(trace, 2)._replace(result=misfit)
+        with pytest.raises(CertificateError, match=exact):
+            list(served_steps(certified))
+        with pytest.raises(CertificateError, match=exact):
+            check_primal_dual_bound(certified, 2)
 
     def test_decision_at_a_hit(self):
-        with pytest.raises(ValueError, match=r"^paid decisions do not fit request 3$"):
-            self._expand([(2, 0)])
+        self._rejected(ABACD, [(2, 0)], "paid decisions do not fit request 3")
 
     def test_decision_while_a_server_is_unplaced(self):
-        with pytest.raises(ValueError, match=r"^paid decisions do not fit request 2$"):
-            self._expand([(1, 0)])
+        self._rejected(ABACD, [(1, 0)], "paid decisions do not fit request 2")
 
     def test_full_cache_miss_without_a_decision(self):
-        with pytest.raises(ValueError, match=r"^paid decisions do not fit request 4$"):
-            self._expand([])
+        self._rejected(ABACD, [], "paid decisions do not fit request 4")
+        # the served-set walk used to place a third server here
+        self._rejected(ABCA, [(3, 0)], "paid decisions do not fit request 3")
 
     def test_victim_not_served(self):
-        with pytest.raises(ValueError, match=r"^request 4 evicts an unserved node$"):
-            self._expand([(3, 2), (4, 1)])
+        self._rejected(ABACD, [(3, 2), (4, 1)], "request 4 evicts an unserved node")
+        # the served-set walk used to raise KeyError here
+        self._rejected(ABCA, [(2, 2)], "request 3 evicts an unserved node")
 
     def test_decision_left_over(self):
-        with pytest.raises(
-            ValueError, match=r"^paid decisions do not fit: request 10 is left over$"
-        ):
-            self._expand([(3, 0), (4, 1), (9, 0)])
-        assert len(self._expand([(3, 0), (4, 1)])) == 5
+        self._rejected(
+            ABACD, [(3, 0), (4, 1), (9, 0)], "paid decisions do not fit: request 10 is left over"
+        )
+        fitting = self._result(ABACD, [(3, 0), (4, 1)])
+        assert len(fitting.events) == 5
+        _replay(fitting, [1, 1])
+
+    def test_a_flush_fits_the_event_log_but_not_a_certificate(self):
+        flushed = self._result(ABACD, [(3, None)])
+        assert [e.kind for e in flushed.events] == [FREE, FREE, HIT, FLUSH, FREE, FREE]
+        assert flushed.events[3].cost == 2
+        with pytest.raises(CertificateError, match=r"^request 4 evicts an unserved node$"):
+            _replay(flushed, [1])
+        certified = run_greedydual_certified(ABACD, 2)._replace(result=flushed)
+        with pytest.raises(CertificateError, match=r"^request 4 evicts an unserved node$"):
+            list(served_steps(certified))
+
+    @pytest.mark.parametrize(
+        "message",
+        ["paid decisions do not fit request", "evicts an unserved node", "is left over"],
+    )
+    def test_fit_messages_live_in_one_module(self, message):
+        """The fit rule is coded once: its messages appear in one module."""
+        package = Path(strategies.__file__).parent
+        holders = [
+            path.name
+            for path in sorted(package.glob("*.py"))
+            if message in path.read_text(encoding="utf-8")
+        ]
+        assert holders == ["strategies.py"]
 
 
 def _traced_peak(fn, *args):

@@ -13,6 +13,7 @@ from cachecomp.offline import InstanceSizeError, opt_bruteforce, opt_flow
 from cachecomp.phases import partition
 from cachecomp.strategies import UNIT_WEIGHT_TWINS, lru_cost_profile, parse_strategy, run
 from cachecomp.sweep import (
+    SWEEP_MARK_WORK_CAP,
     SWEEP_N_CAP,
     SWEEP_TRIALS_CAP,
     RatioFamily,
@@ -157,6 +158,26 @@ class TestSweep:
         # one distinct node: no row evicts, so no trial runs
         table = sweep(parse_trace("a\na\n"), ["mark"], 2, mark_trials=SWEEP_TRIALS_CAP)
         assert [row.costs for row in table.rows] == [{"mark": 0}] * 2
+
+    def test_mark_work_cap_checked_before_running(self, monkeypatch):
+        monkeypatch.setattr(offline, "opt_paging_profile", _must_not_run)
+        monkeypatch.setattr(sweep_module, "mark_stream", _must_not_run)
+        # 64 rows x 100000 trials on 2000 requests: about 1.5 h of replays
+        t = generate_random(200, 2000, 1, seed=1)
+        work = 64 * SWEEP_TRIALS_CAP * (2000 + sweep_module.MARK_REPLAY_OVERHEAD)
+        message = f"^marking work {work} is above SWEEP_MARK_WORK_CAP = {SWEEP_MARK_WORK_CAP}$"
+        with pytest.raises(ValueError, match=message):
+            sweep(t, ["lru", "mark"], 64, mark_trials=SWEEP_TRIALS_CAP)
+
+    def test_mark_work_cap_binds_only_marking(self, monkeypatch):
+        t = generate_cyclic(3, 6)  # rows k = 1, 2 evict
+        work = 2 * 3 * (6 + sweep_module.MARK_REPLAY_OVERHEAD)
+        monkeypatch.setattr(sweep_module, "SWEEP_MARK_WORK_CAP", work - 1)
+        with pytest.raises(ValueError, match=f"^marking work {work} is above"):
+            sweep(t, ["mark"], 5, mark_trials=3)
+        assert sweep(t, ["lru", "fwf"], 5, mark_trials=3).rows[0].costs == {"lru": 5, "fwf": 5}
+        monkeypatch.setattr(sweep_module, "SWEEP_MARK_WORK_CAP", work)
+        assert sweep(t, ["mark"], 5, mark_trials=3).rows[0].costs == {"mark": 5}
 
     def test_flow_cap_checked_before_running(self, monkeypatch):
         t = generate_cyclic(2, offline.FLOW_CAP + 1)

@@ -9,7 +9,7 @@ byte-deterministic for a fixed argv: seeds default to a fixed constant
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 certificate
 check failure, 141 stdout closed before all output was written (as for
 a process killed by SIGPIPE, e.g. ``cachecomp sweep ... | head``).
-README's exit-code paragraph lists every domain error, among them a
+README's exit-code list names every domain error, among them a
 sweep above a cap on ``--n``, ``--trials`` or marking's work.
 
 A process loads only the layers its subcommand runs: ``optimal`` loads
@@ -187,10 +187,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = strategies.run(args.strategy, args.k, trace, seed=seed)
     text = None
     if args.out or args.verbose:
+        # RFC 4180: a label holding a comma, a quote or a line break is quoted
+        labels = ['"' + x.replace('"', '""') + '"' if any(c in x for c in ',"\r\n') else x
+                  for x in trace.labels]
         lines = ["index,node,kind,evicted,cost"]
         for e in result.events:
-            evicted = trace.labels[e.evicted] if e.evicted is not None else ""
-            lines.append(f"{e.index},{trace.labels[e.node]},{e.kind},{evicted},{e.cost}")
+            evicted = labels[e.evicted] if e.evicted is not None else ""
+            lines.append(f"{e.index},{labels[e.node]},{e.kind},{evicted},{e.cost}")
         text = "\n".join(lines) + "\n"
     summary = [f"strategy {result.strategy}", f"k {result.k}", f"cost {result.total_cost}"]
     _emit(summary, text, args.out)

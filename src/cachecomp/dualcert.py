@@ -30,11 +30,12 @@ at which that server last moved.
 The offset changes only when the algorithm pays, so the run is fully
 described by its paid decisions and the offset each one lowers to.
 ``run_greedydual_certified`` runs that one engine and replays those
-decisions once, walking the trace.  The replay makes no decision: it
+decisions once, reading the served-set walk ``_served_walk``.  The walk
 takes each request's outcome from ``strategies._walk_decisions``, which
 checks that a paid decision, and so a raise, sits at exactly each miss
-that finds every server placed.  It rebuilds the served multiset, the
-offset at each request and (a, b), and checks in exact arithmetic that
+that finds every server placed, and names the request that leaves S
+there.  The replay makes no decision: it rebuilds the offset at each
+request and (a, b), and checks in exact arithmetic that
 
   * no offset decreases;
   * b[i+1] <= w(r_i) for every served request i (H >= 0); b[i+1] only
@@ -61,11 +62,12 @@ and every a[i] of a request that has left S stands at its final value
 plus raised_s - R (``dual_at_step``, ``served_b_sum``).
 
 The served multiset is not kept per step.  Each request changes it by at
-most one removal and one insertion, so one O(N) walk of the trace beside
-the run's paid decisions rebuilds it in request order (``served_steps``;
-``served_b_sum`` and ``dual_at_step`` take that step's multiset), and a
-run keeps no walk state; like the replay, it raises ``CertificateError``
-on decisions that break the placement rule.  The certified run therefore
+most one removal and one insertion, so the same O(N) walk of the trace
+beside the run's paid decisions rebuilds it in request order for
+``served_steps`` (``served_b_sum`` and ``dual_at_step`` take that step's
+multiset), ``check_primal_dual_bound`` and ``write_certificate``; a run
+keeps no walk state, and every walk raises ``CertificateError`` on
+decisions that break the placement rule.  The certified run therefore
 holds O(N + k) memory, and ``write_certificate`` streams the text
 certificate one line at a time.
 """
@@ -157,34 +159,33 @@ class CertifiedRun(NamedTuple):
     relabels: tuple[tuple[int, int], ...]  # (1-based request, raise amount)
 
 
-def _fitted(result: SimulationResult) -> Iterator[int | str]:
-    """``_walk_decisions`` of a run that never flushes, raising ``CertificateError``."""
-    return _walk_decisions(
-        result.trace, result.k, result.paid, flushes=False, error=CertificateError
-    )
-
-
 def _served_walk(
     result: SimulationResult, entry: Callable[[int, int], _Entry]
-) -> Iterator[dict[int, _Entry]]:
-    """Rebuild the served multiset from a GreedyDual run's paid decisions.
-
-    Yields after each request one dict, updated in place, mapping each
+) -> Iterator[tuple[int | str, _Entry | None, dict[int, _Entry]]]:
+    """Walk a GreedyDual run's paid decisions over its trace, yielding per
+    request ``(outcome, left, served)``.  ``outcome`` is ``HIT``, ``FREE``
+    or the evicted node, from ``strategies._walk_decisions`` (never a
+    flush; a misfit raises ``CertificateError``).  ``left`` is the entry of
+    the request that leaves S here, the one a hit supersedes or the victim,
+    else None.  ``served`` is one dict, updated in place, mapping each
     served node to ``entry(i, moved)`` for its 1-based request ``i`` and
-    the request ``moved`` at which its server last moved.  A miss places
-    a server or moves that of the node ``_fitted`` names.  A request
+    the request ``moved`` at which its server last moved.  A request
     re-inserts its node, so the values stay ordered by ``i``; the unplaced
     servers are ``StepRecord.zero_mult``."""
+    trace = result.trace
     served: dict[int, _Entry] = {}
     moved_at: dict[int, int] = {}
-    walk = zip(result.trace.requests, _fitted(result), strict=True)
-    for idx, (v, u) in enumerate(walk, start=1):
-        if served.pop(v, None) is None:
+    outcomes = _walk_decisions(trace, result.k, result.paid, flushes=False, error=CertificateError)
+    for idx, (v, outcome) in enumerate(zip(trace.requests, outcomes, strict=True), start=1):
+        if outcome is HIT:
+            left = served.pop(v)
+        else:
             moved_at[v] = idx
-            if u is not FREE:
-                del served[u], moved_at[u]
+            left = None if outcome is FREE else served.pop(outcome)
+            if left is not None:
+                del moved_at[outcome]  # the walk keeps O(k) state
         served[v] = entry(idx, moved_at[v])
-        yield served
+        yield outcome, left, served
 
 
 def run_greedydual_certified(
@@ -196,9 +197,8 @@ def run_greedydual_certified(
 
     ``strategies.run_greedydual``'s label loop makes every decision and
     records, at each paid move, the label offset it lowers to.  One replay
-    of those decisions over the trace rebuilds the served multiset and
-    (a, b) and raises ``CertificateError`` if an invariant fails at any
-    request.
+    of those decisions, read off the served-set walk, rebuilds (a, b) and
+    raises ``CertificateError`` if an invariant fails at any request.
     """
     levels: list[int] = []
     return _replay(_label_loop(trace, k, relabel, levels=levels), levels)
@@ -210,53 +210,45 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
     each paid move.  The offset is the cumulative raise.  The replay keeps
     it after each request as ``offsets``, so that once request n has
     relabelled, raised = offsets[n] and the current b[j] for j <= n is
-    raised - offsets[j-1].  H >= 0 is checked as each request leaves S:
-    when a hit supersedes it, when it is evicted, or at the end.  Each
-    request's outcome comes from ``_fitted``."""
+    raised - offsets[j-1].  Each request's outcome, the request that
+    leaves S there and the served multiset come from ``_served_walk``;
+    H >= 0 is checked as each request leaves S: when a hit supersedes
+    it, when it is evicted, or at the end."""
     trace, k = result.trace, result.k
     n = len(trace)
-    weights = trace.weights
+    requests, weights = trace.requests, trace.weights
     if len(levels) != len(result.paid):
         raise CertificateError(f"{len(levels)} levels for {len(result.paid)} paid moves")
 
     relabels: list[tuple[int, int]] = []
     left = [0] * (n + 1)  # the raise as request i left S (request 0: before any raise)
     zero_mult = k
-    # node -> entry; re-inserted on every request, so values stay ordered by i
-    served: dict[int, ServedEntry] = {}
     raised = distance = 0
     offsets = [0]  # offsets[0] is the offset before request 1
     history: list[StepRecord] = []
     level_at = iter(levels)
 
-    walk = zip(trace.requests, _fitted(result), strict=True)
-    for idx, (v, u) in enumerate(walk, start=1):
-        if u is HIT:
-            old = served.pop(v)
-            moved = old.moved
-            if raised - offsets[old.i] > weights[v]:
-                raise CertificateError(f"b[{old.i + 1}] exceeds served weight at request {idx}")
-            left[old.i] = raised  # the superseded request exits S here
-        elif u is FREE:
-            moved = idx
+    served: dict[int, ServedEntry] = {}  # the walk's dict; stays empty on an empty trace
+    walk = _served_walk(result, ServedEntry)
+    for idx, (outcome, gone, served) in enumerate(walk, start=1):
+        if outcome is FREE:
             zero_mult -= 1  # no raise comes before the last placement: b[1] is 0
-        else:
+        elif outcome is not HIT:
             rho = next(level_at) - raised
             if rho < 0:
                 raise CertificateError(f"negative raise {rho} at request {idx}")
             raised += rho
             if rho:
                 relabels.append((idx, rho))
-            victim = served.pop(u)
-            if raised - offsets[victim.i] > weights[u]:
-                raise CertificateError(f"b[{victim.i + 1}] exceeds served weight at request {idx}")
-            if weights[u] > raised - offsets[victim.moved]:
+            # L > 0 and H < 0 cannot both hold here: gone.moved <= gone.i
+            if weights[outcome] > raised - offsets[gone.moved]:
                 raise CertificateError(f"evicted server has L > 0 at request {idx}")
-            left[victim.i] = raised
-            distance += weights[u]
-            moved = idx
+            distance += weights[outcome]
+        if gone is not None:
+            if raised - offsets[gone.i] > weights[requests[gone.i - 1]]:
+                raise CertificateError(f"b[{gone.i + 1}] exceeds served weight at request {idx}")
+            left[gone.i] = raised
         offsets.append(raised)
-        served[v] = ServedEntry(idx, moved)
         history.append(StepRecord(zero_mult, raised, distance))
 
     for v, entry in served.items():  # the requests still in S leave it at the end
@@ -355,7 +347,7 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
     dc = dual_cost(run.dual, h)
     cost = run.result.total_cost
     served: dict[int, ServedEntry] = {}
-    for served in _served_walk(run.result, ServedEntry):
+    for _, _, served in _served_walk(run.result, ServedEntry):
         pass  # one dict, updated in place: its last state is the final S
     final = list(served.values())
     served_sum = served_b_sum(run, len(run.history) - 1, final) if run.history else 0
@@ -367,7 +359,7 @@ def served_steps(run: CertifiedRun) -> Iterator[tuple[ServedEntry, ...]]:
     ordered by request; the unplaced servers after step s are
     ``run.history[s].zero_mult``.  One walk of the paid decisions, O(k) per
     step."""
-    for served in _served_walk(run.result, ServedEntry):
+    for _, _, served in _served_walk(run.result, ServedEntry):
         yield tuple(served.values())
 
 
@@ -413,8 +405,8 @@ def dual_at_step(
 def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     """The v1 text certificate, one newline-terminated line at a time.
     Each ``i:moved`` token is formatted once, when its entry is created.
-    A step places a server when ``zero_mult`` drops and pays when the
-    distance rises, by its cost (every weight is >= 1); else it is a hit."""
+    A step's kind and cost come from its outcome in ``_served_walk``: a
+    hit or a placement costs 0, and a move costs the evicted node's weight."""
     result = run.result
     trace = result.trace
     yield "cachecomp-certificate 1\n"
@@ -427,12 +419,10 @@ def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     yield "trace " + " ".join(map(str, trace.requests)) + "\n"
     yield "a " + " ".join(map(str, run.dual.a)) + "\n"
     yield "b " + " ".join(map(str, run.dual.b[1:])) + "\n"
+    weights = trace.weights
     walk = _served_walk(result, "{}:{}".format)
-    unplaced, distance = result.k, 0
-    for t, (rec, served) in enumerate(zip(run.history, walk), start=1):
-        kind = FREE if rec.zero_mult < unplaced else MOVE if rec.distance > distance else HIT
-        cost = rec.distance - distance
-        unplaced, distance = rec.zero_mult, rec.distance
+    for t, (rec, (outcome, _, served)) in enumerate(zip(run.history, walk), start=1):
+        kind, cost = (outcome, 0) if outcome is HIT or outcome is FREE else (MOVE, weights[outcome])
         # the requested node is served after every step, so S is never empty
         zero = f"0*{rec.zero_mult}," if rec.zero_mult else ""
         yield (

@@ -383,9 +383,11 @@ def gnuplot_script(csv_path: str, trace_length: int, strategies: tuple[str, ...]
     """A gnuplot script plotting competitiveness and fault rate against k
     from the CSV written next to it (one series per strategy)."""
 
+    quoted = csv_path.replace("'", "''")  # gnuplot reads '' in a '...' string as one '
+
     def series(expr: str) -> str:
         return ", \\\n     ".join(
-            f"'{csv_path}' using 1:(strcol(2) eq '{name}' ? {expr} : NaN) "
+            f"'{quoted}' using 1:(strcol(2) eq '{name}' ? {expr} : NaN) "
             f"with linespoints title '{name}'"
             for name in strategies
         )
@@ -399,7 +401,7 @@ def gnuplot_script(csv_path: str, trace_length: int, strategies: tuple[str, ...]
         "set ylabel 'cost / opt'",
         "plot " + series("column(5)"),
         "set output 'faultrate.png'",
-        f"set ylabel 'cost per request'",
+        "set ylabel 'cost per request'",
         "plot " + series(f"column(3)/{trace_length}.0"),
     ]
     return "\n".join(lines) + "\n"

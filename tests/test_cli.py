@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import os
 import subprocess
@@ -54,6 +55,28 @@ class TestSimulate:
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == "index,node,kind,evicted,cost"
         assert lines[3] == "2,c,move,a,1"
+
+    def test_event_csv_quotes_labels(self, capsys, tmp_path):
+        """Labels holding a comma or a quote are quoted per RFC 4180, so the
+        CSV reads back as 5 fields per row with every label unchanged."""
+        text = 'x,y\nb\n"q\nx,y\nc\n'
+        (tmp_path / "t.txt").write_text(text, encoding="utf-8")
+        out_file = tmp_path / "events.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--strategy", "lru", "--k", "2",
+            "--trace", str(tmp_path / "t.txt"), "--out", str(out_file),
+        )
+        assert code == 0
+        with out_file.open(encoding="utf-8", newline="") as fp:
+            rows = list(csv.reader(fp))
+        trace = parse_trace(text)
+        labels = trace.labels
+        want = [[str(e.index), labels[e.node], e.kind,
+                 "" if e.evicted is None else labels[e.evicted], str(e.cost)]
+                for e in run("lru", 2, trace).events]
+        assert rows == [["index", "node", "kind", "evicted", "cost"], *want]
+        assert [r[1] for r in rows[1:]] == ["x,y", "b", '"q', "x,y", "c"]
+        assert {len(r) for r in rows} == {5}
 
     def test_matches_library(self, capsys, trace_file):
         code, out, _ = run_cli(

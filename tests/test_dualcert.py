@@ -653,11 +653,13 @@ class TestServedWalk:
             # b[s+2], the pointer of a server that moved at this request, is still 0
             want_term = rec.zero_mult * want_b[1] + sum(want_b[e.moved + 1] for e in ref[s])
             assert served_b_sum(run, s, served) == want_term
-        s_fields = [line.rpartition(" S=")[2] for line in
-                    export_certificate(run).splitlines() if line.startswith("step ")]
-        for rec, entries, field in zip(run.history, ref, s_fields, strict=True):
+        steps = [line.split(" ") for line in
+                 export_certificate(run).splitlines() if line.startswith("step ")]
+        for rec, entries, e, step in zip(run.history, ref, run.result.events, steps, strict=True):
             zero = [f"0*{rec.zero_mult}"] if rec.zero_mult else []
-            assert field == ",".join(zero + [f"{e.i}:{e.moved}" for e in entries])
+            assert step[-1] == "S=" + ",".join(zero + [f"{x.i}:{x.moved}" for x in entries])
+            # kind and cost come from the walk's outcome; they match the event log
+            assert step[2:4] == [f"kind={e.kind}", f"cost={e.cost}"]
 
     def test_step_out_of_range(self):
         run = run_greedydual_certified(ABCA, 2)

@@ -389,6 +389,13 @@ class TestCsvAndPlots:
         assert "title 'lru'" in script and "title 'fwf'" in script
         assert "competitiveness.png" in script and "faultrate.png" in script
 
+    def test_gnuplot_script_doubles_quotes_in_the_path(self):
+        script = gnuplot_script("/data/it's.csv", 12, ("lru", "fwf"))
+        assert script.count("'/data/it''s.csv' using 1:") == 4
+        assert "it's" not in script
+        # every single-quoted string is closed on its own line
+        assert all(line.count("'") % 2 == 0 for line in script.splitlines())
+
 
 def reference_sweep(trace, strategies, n, opt_method="auto", mark_trials=100, seed=0):
     """The sweep as a plain loop over k: every strategy and every marking

@@ -226,13 +226,15 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    from fractions import Fraction
+    from math import gcd
 
     _bind("dualcert", "strategies")
     trace = _load_trace(args.trace)
     policy = strategies.MAX_LOWER if args.policy is None else args.policy
     k = args.k
     h = args.h if args.h is not None else k
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not 1 <= h <= k:
         raise ValueError(f"need 1 <= h <= k, got h={h} k={k}")
     run = dualcert.run_greedydual_certified(trace, k, policy)
@@ -248,7 +250,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     print(f"h {h}")
     print(f"cost {run.result.total_cost}")
     print(f"dual_cost {dc}")
-    print(f"ratio {Fraction(k, k - h + 1)}")
+    g = gcd(k, k - h + 1)
+    num, den = k // g, (k - h + 1) // g
+    print(f"ratio {num}" if den == 1 else f"ratio {num}/{den}")
     print(f"feasible {'PASS' if feasible else 'FAIL'}")
     print(f"bound {'PASS' if bound_ok else 'FAIL'}")
     verdict = feasible and bound_ok

@@ -62,26 +62,24 @@ and every a[i] of a request that has left S stands at its final value
 plus raised_s - R (``dual_at_step``, ``served_b_sum``).
 
 The served multiset is not kept per step.  Each request changes it by at
-most one removal and one insertion, so the same O(N) walk of the trace
-beside the run's paid decisions rebuilds it in request order for
-``served_steps`` (``served_b_sum`` and ``dual_at_step`` take that step's
-multiset), ``check_primal_dual_bound`` and ``write_certificate``; a run
-keeps no walk state, and every walk raises ``CertificateError`` on
-decisions that break the placement rule.  The certified run therefore
-holds O(N + k) memory, and ``write_certificate`` streams the text
-certificate one line at a time.
+most one removal and one insertion, so one O(N) walk of the trace beside
+the run's paid decisions, ``_served_walk``, rebuilds it in request order
+as ``ServedEntry``s for ``served_steps`` (``served_b_sum`` and
+``dual_at_step`` take that step's multiset), ``check_primal_dual_bound``
+and ``write_certificate``, which carries its ``S=`` text forward by the
+same removal and insertion.  A run keeps no walk state, every walk raises
+``CertificateError`` on decisions that break the placement rule, and the
+certified run holds O(N + k) memory.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable, Iterator
-from typing import NamedTuple, TextIO, TypeVar
+from collections.abc import Iterable, Iterator
+from typing import NamedTuple, TextIO
 
 from .strategies import FREE, HIT, MAX_LOWER, MOVE, SimulationResult, _label_loop, _walk_decisions
 from .trace import RequestTrace, _Record
-
-_Entry = TypeVar("_Entry")
 
 __all__ = [
     "DualSolution",
@@ -160,31 +158,28 @@ class CertifiedRun(NamedTuple):
 
 
 def _served_walk(
-    result: SimulationResult, entry: Callable[[int, int], _Entry]
-) -> Iterator[tuple[int | str, _Entry | None, dict[int, _Entry]]]:
+    result: SimulationResult,
+) -> Iterator[tuple[int | str, ServedEntry | None, dict[int, ServedEntry]]]:
     """Walk a GreedyDual run's paid decisions over its trace, yielding per
     request ``(outcome, left, served)``.  ``outcome`` is ``HIT``, ``FREE``
     or the evicted node, from ``strategies._walk_decisions`` (never a
     flush; a misfit raises ``CertificateError``).  ``left`` is the entry of
     the request that leaves S here, the one a hit supersedes or the victim,
     else None.  ``served`` is one dict, updated in place, mapping each
-    served node to ``entry(i, moved)`` for its 1-based request ``i`` and
-    the request ``moved`` at which its server last moved.  A request
-    re-inserts its node, so the values stay ordered by ``i``; the unplaced
-    servers are ``StepRecord.zero_mult``."""
+    served node to its ``ServedEntry``, whose ``moved`` a hit keeps and a
+    placement or a move sets to the request itself.  A request re-inserts
+    its node, so the values stay ordered by ``i``; the unplaced servers are
+    ``StepRecord.zero_mult``."""
     trace = result.trace
-    served: dict[int, _Entry] = {}
-    moved_at: dict[int, int] = {}
+    served: dict[int, ServedEntry] = {}
     outcomes = _walk_decisions(trace, result.k, result.paid, flushes=False, error=CertificateError)
     for idx, (v, outcome) in enumerate(zip(trace.requests, outcomes, strict=True), start=1):
         if outcome is HIT:
             left = served.pop(v)
+            served[v] = ServedEntry(idx, left.moved)
         else:
-            moved_at[v] = idx
             left = None if outcome is FREE else served.pop(outcome)
-            if left is not None:
-                del moved_at[outcome]  # the walk keeps O(k) state
-        served[v] = entry(idx, moved_at[v])
+            served[v] = ServedEntry(idx, idx)
         yield outcome, left, served
 
 
@@ -229,7 +224,7 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
     level_at = iter(levels)
 
     served: dict[int, ServedEntry] = {}  # the walk's dict; stays empty on an empty trace
-    walk = _served_walk(result, ServedEntry)
+    walk = _served_walk(result)
     for idx, (outcome, gone, served) in enumerate(walk, start=1):
         if outcome is FREE:
             zero_mult -= 1  # no raise comes before the last placement: b[1] is 0
@@ -339,7 +334,9 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
         cost <= k/(k-h+1) * dual_cost(h) - sum over served i of b[i'+1]
 
     evaluated exactly as (k-h+1)*cost <= k*dual_cost - (k-h+1)*sum(...).
-    The final served set comes from a walk of the paid decisions.
+    The final served set comes from a walk of ``run.result``, which also
+    checks that its paid decisions fit the trace: with a kept final S, a
+    swapped-in result's cost would be priced against the old dual.
     """
     k = run.result.k
     if not 1 <= h <= k:
@@ -347,10 +344,9 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
     dc = dual_cost(run.dual, h)
     cost = run.result.total_cost
     served: dict[int, ServedEntry] = {}
-    for _, _, served in _served_walk(run.result, ServedEntry):
+    for _, _, served in _served_walk(run.result):
         pass  # one dict, updated in place: its last state is the final S
-    final = list(served.values())
-    served_sum = served_b_sum(run, len(run.history) - 1, final) if run.history else 0
+    served_sum = served_b_sum(run, len(run.history) - 1, served.values()) if run.history else 0
     return (k - h + 1) * cost <= k * dc - (k - h + 1) * served_sum
 
 
@@ -359,7 +355,7 @@ def served_steps(run: CertifiedRun) -> Iterator[tuple[ServedEntry, ...]]:
     ordered by request; the unplaced servers after step s are
     ``run.history[s].zero_mult``.  One walk of the paid decisions, O(k) per
     step."""
-    for _, _, served in _served_walk(run.result, ServedEntry):
+    for _, _, served in _served_walk(run.result):
         yield tuple(served.values())
 
 
@@ -404,9 +400,9 @@ def dual_at_step(
 
 def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     """The v1 text certificate, one newline-terminated line at a time.
-    Each ``i:moved`` token is formatted once, when its entry is created.
-    A step's kind and cost come from its outcome in ``_served_walk``: a
-    hit or a placement costs 0, and a move costs the evicted node's weight."""
+    A step's kind and cost come from its outcome in ``_served_walk``.  Its
+    ``S=`` text is the previous step's with the ``i:moved`` token of the
+    entry that leaves S cut and the new entry's appended."""
     result = run.result
     trace = result.trace
     yield "cachecomp-certificate 1\n"
@@ -419,15 +415,19 @@ def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     yield "trace " + " ".join(map(str, trace.requests)) + "\n"
     yield "a " + " ".join(map(str, run.dual.a)) + "\n"
     yield "b " + " ".join(map(str, run.dual.b[1:])) + "\n"
-    weights = trace.weights
-    walk = _served_walk(result, "{}:{}".format)
-    for t, (rec, (outcome, _, served)) in enumerate(zip(run.history, walk), start=1):
+    requests, weights = trace.requests, trace.weights
+    tokens = ","  # each token ends in a comma, so ",i:moved," matches exactly one
+    walk = _served_walk(result)
+    for t, (rec, (outcome, left, served)) in enumerate(zip(run.history, walk), start=1):
         kind, cost = (outcome, 0) if outcome is HIT or outcome is FREE else (MOVE, weights[outcome])
+        if left is not None:
+            tokens = tokens.replace(f",{left.i}:{left.moved},", ",", 1)
+        tokens += "{}:{},".format(*served[requests[t - 1]])
         # the requested node is served after every step, so S is never empty
         zero = f"0*{rec.zero_mult}," if rec.zero_mult else ""
         yield (
             f"step {t} kind={kind} cost={cost} raised={rec.raised} "
-            f"dist={rec.distance} S={zero}" + ",".join(served.values()) + "\n"
+            f"dist={rec.distance} S={zero}{tokens[1:-1]}\n"
         )
 
 

@@ -41,10 +41,12 @@ from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import pairwise
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .phases import PhasePartition, _k_phases, partition
 from .trace import RequestTrace, _Record
+
+if TYPE_CHECKING:
+    from .phases import PhasePartition
 
 __all__ = [
     "HIT",
@@ -244,6 +246,8 @@ def mark_stream(trace: RequestTrace, k: int) -> list:
     means the node was in the previous phase.  Each node list is that of
     a full phase, which spans at least k requests, so the stream holds
     O(N) entries."""
+    from .phases import _k_phases  # here, so that only fwf and marking load ``phases``
+
     phases = _k_phases(trace.requests, k)
     return [
         (sorted(previous), [(i, v, v in previous) for v, i in current.items()])
@@ -447,6 +451,8 @@ def run(
     if name in ("lru", "fifo"):
         paid = _run_recency(trace, k, refresh=name == "lru")
     elif name == "fwf":
+        from .phases import partition  # here, as in ``mark_stream``
+
         p = partition(trace, k)
         paid = tuple((b, None) for b in p.boundaries[1:])
         return SimulationResult(name, k, fwf_cost(p), paid, trace)

@@ -132,11 +132,12 @@ class RatioFamily(_Record):
 
 
 def parse_rational(text: str, where: str) -> Fraction:
-    """``Fraction(text)``, refusing a zero denominator and an exponent beyond
-    +-MAX_EXPONENT, whose power of ten Fraction would build before any check."""
+    """``Fraction(text)``, refusing text that is no rational number, a zero
+    denominator and an exponent beyond +-MAX_EXPONENT, whose power of ten
+    Fraction would build before any check.  Each message names ``where``."""
     try:
         huge = abs(int(text.lower().partition("e")[2] or 0)) > MAX_EXPONENT
-    except ValueError:  # not an exponent: Fraction reports the literal
+    except ValueError:  # not an exponent: Fraction refuses the literal below
         huge = False
     if huge:
         raise ValueError(f"exponent beyond +-{MAX_EXPONENT} in {where}")
@@ -144,6 +145,8 @@ def parse_rational(text: str, where: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {where}") from None
+    except ValueError:
+        raise ValueError(f"not a rational number in {where}") from None
 
 
 def parse_family(text: str) -> RatioFamily:

@@ -156,6 +156,22 @@ class TestCertify:
         )
         assert code == 1 and err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify"],
+            ["certify", "--h", "0"],
+            ["simulate", "--strategy", "lru"],
+            ["optimal"],
+            ["phases"],
+        ],
+        ids=["certify", "certify-h0", "simulate", "optimal", "phases"],
+    )
+    def test_k_below_one_is_named(self, capsys, trace_file, argv):
+        code, out, err = run_cli(capsys, *argv, "--k", "0", "--trace", trace_file)
+        assert code == cli.DOMAIN_ERROR and out == ""
+        assert err == "error: k must be >= 1\n"
+
     def test_failure_exits_three(self, capsys, trace_file, monkeypatch):
         from cachecomp.dualcert import Violation
 
@@ -317,6 +333,8 @@ class TestSweep:
             ["--c-family", "log:4", "--d", "0"],
             ["--d", "1e4301"],
             ["--c-family", "log:1E-4301"],
+            ["--d", "nan"],
+            ["--c-family", "log:abc"],
         ],
     )
     def test_bad_numbers_are_domain_errors(self, capsys, trace_file, flags):
@@ -326,6 +344,8 @@ class TestSweep:
         )
         assert code == cli.DOMAIN_ERROR
         assert err.startswith("error:") and out == ""
+        flag, value = flags[-2:]  # the last flag given is the bad one
+        assert ("--d" if flag == "--d" else f"ratio family {value!r}") in err
 
     def test_family_not_positive_is_named_as_written(self, capsys, trace_file):
         # c(1) underflows to 0, and the argument's denominator has 4301 digits
@@ -523,28 +543,32 @@ RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 
 class TestColdStart:
-    """Each subcommand loads only the layers it runs, and no module that
-    declaring its records would need."""
+    """Each subcommand loads only the layers it runs, no module that
+    declaring its records would need, and ``fractions`` only with the
+    phases layer, whose bounds are exact rationals."""
 
     @pytest.mark.parametrize(
         "argv, layers",
         [
-            (["simulate", "--strategy", "lru", "--k", "2"], {"strategies", "phases"}),
+            (["simulate", "--strategy", "lru", "--k", "2"], {"strategies"}),
             (["optimal", "--k", "2"], {"offline"}),
-            (["certify", "--k", "2"], {"dualcert", "strategies", "phases"}),
+            (["certify", "--k", "2"], {"dualcert", "strategies"}),
             (["phases", "--k", "2"], {"phases"}),
             (
                 ["sweep", "--n", "3", "--strategies", "lru,mark", "--c-family", "log:4"],
                 {"sweep", "offline", "strategies", "phases"},
             ),
+            (["simulate", "--strategy", "fwf", "--k", "2"], {"strategies", "phases"}),
+            (["simulate", "--strategy", "mark", "--k", "2"], {"strategies", "phases"}),
         ],
-        ids=["simulate", "optimal", "certify", "phases", "sweep"],
+        ids=["simulate", "optimal", "certify", "phases", "sweep", "simulate-fwf", "simulate-mark"],
     )
     def test_subcommand_loads_its_layers(self, trace_file, argv, layers):
         loaded = loaded_in_fresh_interpreter(cli_main_code([*argv, "--trace", trace_file]))
         expected = {"cachecomp", "cachecomp.cli", "cachecomp.trace"}
         assert ours(loaded) == expected | {f"cachecomp.{m}" for m in layers}
         assert not loaded & RECORD_MACHINERY
+        assert ("fractions" in loaded) == ("phases" in layers)
 
     def test_parser_loads_no_layer(self):
         loaded = loaded_in_fresh_interpreter("from cachecomp import cli\ncli.build_parser()")

@@ -54,12 +54,15 @@ decides feasibility of any (a, b) exactly in one O(N) backward scan: for
 each request only the largest later b at its own node and the largest at
 any other node bind.
 
-The dual is stored once, as the final (a, b) in ``CertifiedRun.dual``;
-each step records only O(1) integers: the unplaced servers, its
-cumulative raise and the paid distance.  A raise lifts every live
-variable by the same amount, so after step s every b[j] with j <= s+1
-and every a[i] of a request that has left S stands at its final value
-plus raised_s - R (``dual_at_step``, ``served_b_sum``).
+The dual is stored once, as the final (a, b) in ``CertifiedRun.dual``,
+and ``CertifiedRun.history`` keeps one integer per request: the
+cumulative raise after it.  A raise lifts every live variable by the
+same amount, so after step s every b[j] with j <= s+1 and every a[i] of
+a request that has left S stands at its final value plus raised_s - R
+(``dual_at_step``, ``served_b_sum``).  GreedyDual never unplaces a
+server, so the unplaced servers after a step are k minus the size of
+its served multiset, and the paid distance is the running sum of the
+step costs.
 
 The served multiset is not kept per step.  Each request changes it by at
 most one removal and one insertion, so one O(N) walk of the trace beside
@@ -84,7 +87,6 @@ from .trace import RequestTrace, _Record
 __all__ = [
     "DualSolution",
     "ServedEntry",
-    "StepRecord",
     "CertifiedRun",
     "CertificateError",
     "Violation",
@@ -130,21 +132,11 @@ class DualSolution(_Record):
 
 class ServedEntry(NamedTuple):
     """One served request ``i`` whose server last moved at request
-    ``moved``.  Indices are 1-based; the artificial request 0 appears via
-    StepRecord.zero_mult instead."""
+    ``moved``.  Indices are 1-based; the artificial request 0 is never an
+    entry: it holds the k - |S| unplaced servers."""
 
     i: int
     moved: int
-
-
-class StepRecord(NamedTuple):
-    """State after one request: unplaced servers, cumulative raise and
-    paid distance.  The served multiset is rebuilt in request order
-    (``served_steps``) and its term of the bound by ``served_b_sum``."""
-
-    zero_mult: int
-    raised: int
-    distance: int
 
 
 class CertifiedRun(NamedTuple):
@@ -153,7 +145,7 @@ class CertifiedRun(NamedTuple):
     result: SimulationResult
     dual: DualSolution
     relabel: str
-    history: tuple[StepRecord, ...]
+    history: tuple[int, ...]  # the cumulative raise after each request
     relabels: tuple[tuple[int, int], ...]  # (1-based request, raise amount)
 
 
@@ -168,8 +160,8 @@ def _served_walk(
     else None.  ``served`` is one dict, updated in place, mapping each
     served node to its ``ServedEntry``, whose ``moved`` a hit keeps and a
     placement or a move sets to the request itself.  A request re-inserts
-    its node, so the values stay ordered by ``i``; the unplaced servers are
-    ``StepRecord.zero_mult``."""
+    its node, so the values stay ordered by ``i``; no server is ever
+    unplaced, so k - len(served) of them are not yet placed."""
     trace = result.trace
     served: dict[int, ServedEntry] = {}
     outcomes = _walk_decisions(trace, result.k, result.paid, flushes=False, error=CertificateError)
@@ -205,11 +197,11 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
     each paid move.  The offset is the cumulative raise.  The replay keeps
     it after each request as ``offsets``, so that once request n has
     relabelled, raised = offsets[n] and the current b[j] for j <= n is
-    raised - offsets[j-1].  Each request's outcome, the request that
+    raised - offsets[j-1]; ``offsets[1:]`` is the run's ``history``.  Each request's outcome, the request that
     leaves S there and the served multiset come from ``_served_walk``;
     H >= 0 is checked as each request leaves S: when a hit supersedes
     it, when it is evicted, or at the end."""
-    trace, k = result.trace, result.k
+    trace = result.trace
     n = len(trace)
     requests, weights = trace.requests, trace.weights
     if len(levels) != len(result.paid):
@@ -217,18 +209,14 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
 
     relabels: list[tuple[int, int]] = []
     left = [0] * (n + 1)  # the raise as request i left S (request 0: before any raise)
-    zero_mult = k
     raised = distance = 0
     offsets = [0]  # offsets[0] is the offset before request 1
-    history: list[StepRecord] = []
     level_at = iter(levels)
 
     served: dict[int, ServedEntry] = {}  # the walk's dict; stays empty on an empty trace
     walk = _served_walk(result)
     for idx, (outcome, gone, served) in enumerate(walk, start=1):
-        if outcome is FREE:
-            zero_mult -= 1  # no raise comes before the last placement: b[1] is 0
-        elif outcome is not HIT:
+        if outcome is not HIT and outcome is not FREE:  # a paid move
             rho = next(level_at) - raised
             if rho < 0:
                 raise CertificateError(f"negative raise {rho} at request {idx}")
@@ -244,7 +232,6 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
                 raise CertificateError(f"b[{gone.i + 1}] exceeds served weight at request {idx}")
             left[gone.i] = raised
         offsets.append(raised)
-        history.append(StepRecord(zero_mult, raised, distance))
 
     for v, entry in served.items():  # the requests still in S leave it at the end
         if raised - offsets[entry.i] > weights[v]:
@@ -257,7 +244,7 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
         result=result,
         dual=DualSolution(tuple(raised - x for x in left), tuple(b)),
         relabel=result.strategy.partition(":")[2],
-        history=tuple(history),
+        history=tuple(offsets[1:]),
         relabels=tuple(relabels),
     )
 
@@ -352,26 +339,27 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
 
 def served_steps(run: CertifiedRun) -> Iterator[tuple[ServedEntry, ...]]:
     """The served multiset after each request, in request order, each
-    ordered by request; the unplaced servers after step s are
-    ``run.history[s].zero_mult``.  One walk of the paid decisions, O(k) per
-    step."""
+    ordered by request; k minus its size servers are unplaced.  One walk
+    of the paid decisions, O(k) per step."""
     for _, _, served in _served_walk(run.result):
         yield tuple(served.values())
 
 
-def _record(run: CertifiedRun, step: int) -> StepRecord:
+def _shift(run: CertifiedRun, step: int) -> int:
+    """raised_step - R: how far the dual after ``step`` lies below the final."""
     if not 0 <= step < len(run.history):
         raise ValueError("step out of range")
-    return run.history[step]
+    return run.history[step] - run.history[-1]
 
 
 def served_b_sum(run: CertifiedRun, step: int, served: Iterable[ServedEntry]) -> int:
-    """Recompute, from raw records, the served-set term sum over S of
-    b[moved+1] as of ``step`` (0-based), given that step's item of
-    ``served_steps``."""
-    rec = _record(run, step)
-    b, shift = run.dual.b, rec.raised - run.history[-1].raised
-    total = rec.zero_mult * (b[1] + shift)
+    """Recompute the served-set term sum over S of b[moved+1] as of
+    ``step`` (0-based), given that step's item of ``served_steps``; the
+    k - |S| unplaced servers each point at b[1]."""
+    shift = _shift(run, step)
+    served = tuple(served)
+    b = run.dual.b
+    total = (run.result.k - len(served)) * (b[1] + shift)
     # a server that moved at this request points at b[step+2], not yet defined: 0
     return total + sum(b[e.moved + 1] + shift for e in served if e.moved <= step)
 
@@ -382,15 +370,16 @@ def dual_at_step(
     """The dual solution as it stood after processing request ``step``
     (0-based), given that step's item of ``served_steps``: b[j] for the
     requests seen so far and a[i] for those that have left S, each its
-    final value shifted down by the raise still to come; zeros elsewhere."""
-    rec = _record(run, step)
+    final value shifted down by the raise still to come; zeros elsewhere.
+    Request 0 stays in S while fewer than k servers are placed."""
+    shift = _shift(run, step)
+    served = tuple(served)
     n = run.dual.n
     in_s = {e.i for e in served}
-    shift = rec.raised - run.history[-1].raised
     a, b = [0] * (n + 1), [0] * (n + 1)
     for j in range(1, step + 2):
         b[j] = run.dual.b[j] + shift
-    if rec.zero_mult:
+    if len(served) < run.result.k:
         in_s.add(0)  # request 0 holds the unplaced servers
     for i in range(step + 2):
         if i not in in_s:
@@ -400,9 +389,11 @@ def dual_at_step(
 
 def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     """The v1 text certificate, one newline-terminated line at a time.
-    A step's kind and cost come from its outcome in ``_served_walk``.  Its
-    ``S=`` text is the previous step's with the ``i:moved`` token of the
-    entry that leaves S cut and the new entry's appended."""
+    A step's kind and cost come from its outcome in ``_served_walk``, and
+    ``dist=`` is the running sum of those costs.  Its ``S=`` text is
+    ``0*(k - |S|)`` while servers are unplaced, then the previous step's
+    ``i:moved`` tokens with the entry that leaves S cut and the new
+    entry's appended."""
     result = run.result
     trace = result.trace
     yield "cachecomp-certificate 1\n"
@@ -415,19 +406,21 @@ def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     yield "trace " + " ".join(map(str, trace.requests)) + "\n"
     yield "a " + " ".join(map(str, run.dual.a)) + "\n"
     yield "b " + " ".join(map(str, run.dual.b[1:])) + "\n"
-    requests, weights = trace.requests, trace.weights
+    k, requests, weights = result.k, trace.requests, trace.weights
     tokens = ","  # each token ends in a comma, so ",i:moved," matches exactly one
+    distance = 0
     walk = _served_walk(result)
-    for t, (rec, (outcome, left, served)) in enumerate(zip(run.history, walk), start=1):
+    for t, (raised, (outcome, left, served)) in enumerate(zip(run.history, walk), start=1):
         kind, cost = (outcome, 0) if outcome is HIT or outcome is FREE else (MOVE, weights[outcome])
+        distance += cost
         if left is not None:
             tokens = tokens.replace(f",{left.i}:{left.moved},", ",", 1)
         tokens += "{}:{},".format(*served[requests[t - 1]])
         # the requested node is served after every step, so S is never empty
-        zero = f"0*{rec.zero_mult}," if rec.zero_mult else ""
+        zero = f"0*{k - len(served)}," if len(served) < k else ""
         yield (
-            f"step {t} kind={kind} cost={cost} raised={rec.raised} "
-            f"dist={rec.distance} S={zero}{tokens[1:-1]}\n"
+            f"step {t} kind={kind} cost={cost} raised={raised} "
+            f"dist={distance} S={zero}{tokens[1:-1]}\n"
         )
 
 

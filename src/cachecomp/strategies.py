@@ -439,11 +439,15 @@ def run(
     the whole trace.
 
     Deterministic for every strategy; ``mark`` is deterministic given the
-    seed.  Requests to served nodes are hits and cost nothing.
+    seed, which must be >= 0 (``random.Random`` would replay a negative
+    seed's absolute value).  Requests to served nodes are hits and cost
+    nothing.
     """
     name = parse_strategy(strategy)
     if k < 1:
         raise ValueError("k must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if name.startswith("greedydual:"):
         return run_greedydual(trace, k, name.partition(":")[2])
     if name == "balance":

@@ -213,13 +213,16 @@ def sweep(
     exact mean over ``mark_trials`` runs whose seeds derive from ``seed``,
     k, and the trial index only, so results are independent of evaluation
     order; the table equals running every strategy and trial on its own
-    for each k.  A strategy named twice (after ``parse_strategy``), an n
-    above ``SWEEP_N_CAP``, ``mark_trials`` above ``SWEEP_TRIALS_CAP``,
-    marking work above ``SWEEP_MARK_WORK_CAP`` (when ``mark`` is swept) and
-    weights beyond float range are rejected before any solver runs.  The
+    for each k.  A negative seed, a strategy named twice (after
+    ``parse_strategy``), an n above ``SWEEP_N_CAP``, ``mark_trials`` above
+    ``SWEEP_TRIALS_CAP``, marking work above ``SWEEP_MARK_WORK_CAP`` (when
+    ``mark`` is swept) and weights beyond float range are rejected before
+    any solver runs.  The
     offline optima come first, so an infeasible method or a trace over
     ``offline.FLOW_CAP`` fails before any strategy runs.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if not 1 <= n <= SWEEP_N_CAP:
         raise ValueError(f"n must be between 1 and {SWEEP_N_CAP}, got {n}")
     if not 1 <= mark_trials <= SWEEP_TRIALS_CAP:

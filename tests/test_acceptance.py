@@ -82,22 +82,22 @@ def test_c02_primal_dual_bound(corpus, certified_runs, opt_profiles):
         k = member.k
         sampler = random.Random(member.idx)
         sampled = {sampler.randrange(len(cert.history)) for _ in range(5)} if cert.history else set()
-        walk = zip(cert.history, served_steps(cert), strict=True)
-        for s, (rec, served) in enumerate(walk):
+        walk = zip(cert.history, served_steps(cert), cert.result.events, strict=True)
+        distance = 0
+        for s, (raised, served, event) in enumerate(walk):
+            distance += event.cost
             served_term = served_b_sum(cert, s, served)
             for h in range(1, k + 1):
-                step_dual_cost = (k - h + 1) * rec.raised
-                lhs = (k - h + 1) * rec.distance
+                step_dual_cost = (k - h + 1) * raised
+                lhs = (k - h + 1) * distance
                 assert lhs <= k * step_dual_cost - (k - h + 1) * served_term
                 checked_steps += 1
             if s in sampled:
                 snapshot = dual_at_step(cert, s, served)
                 for h in range(1, k + 1):
-                    assert dual_cost(snapshot, h) == (k - h + 1) * rec.raised
+                    assert dual_cost(snapshot, h) == (k - h + 1) * raised
         for h in range(1, k + 1):
-            assert dual_cost(cert.dual, h) == (k - h + 1) * (
-                cert.history[-1].raised if cert.history else 0
-            )
+            assert dual_cost(cert.dual, h) == (k - h + 1) * (cert.history[-1] if cert.history else 0)
             opt_h = opt_profiles[member.idx][h - 1]
             assert (k - h + 1) * cert.result.total_cost <= k * opt_h
     report(2, "primal-dual-bound", f"{checked_steps} step/h checks, all exact")

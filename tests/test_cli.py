@@ -91,6 +91,15 @@ class TestSimulate:
         )
         assert code == 1 and "error" in err
 
+    def test_negative_seed_is_domain_error(self, capsys, trace_file):
+        # random.Random would replay seed 5 for -5
+        code, out, err = run_cli(
+            capsys, "simulate", "--strategy", "mark", "--k", "2", "--trace", trace_file,
+            "--seed", "-5",
+        )
+        assert code == cli.DOMAIN_ERROR and out == ""
+        assert err == "error: seed must be >= 0\n"
+
 
 class TestOptimal:
     def test_paging_uses_belady(self, capsys, trace_file):
@@ -192,6 +201,15 @@ class TestPhases:
         assert "num_phases 1" in out and "avenew 1" in out
         assert "phase,start,end,distinct,new" in out
 
+    def test_byte_order_mark_is_not_part_of_a_label(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text("a\nb\na\nb\n", encoding="utf-8")
+        marked.write_text("\ufeffa\nb\na\nb\n", encoding="utf-8")
+        outs = [run_cli(capsys, "phases", "--k", "2", "--trace", str(path))
+                for path in (plain, marked)]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and outs[0][1].startswith("k 2\nphases 1\n")
+
 
 class TestSweep:
     @pytest.mark.parametrize("strategies", ["lru,LRU", "greedydual,greedydual:max"])
@@ -200,6 +218,14 @@ class TestSweep:
             capsys, "sweep", "--n", "2", "--strategies", strategies, "--trace", trace_file
         )
         assert code == 1 and out == "" and "given twice" in err
+
+    def test_negative_seed_is_domain_error(self, capsys, trace_file):
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "2", "--strategies", "mark", "--trace", trace_file,
+            "--seed", "-1",
+        )
+        assert code == cli.DOMAIN_ERROR and out == ""
+        assert err == "error: seed must be >= 0\n"
 
     def test_no_strategies(self, capsys, trace_file):
         code, out, err = run_cli(
@@ -332,6 +358,7 @@ class TestSweep:
             ["--d", "-1"],
             ["--c-family", "log:4", "--d", "0"],
             ["--d", "1e4301"],
+            ["--d", "1e1.5"],
             ["--c-family", "log:1E-4301"],
             ["--d", "nan"],
             ["--c-family", "log:abc"],

@@ -218,7 +218,7 @@ class TestCertifiedRun:
         for trial in range(40):
             t, k, policy = random_case(trial, rng)
             run = run_greedydual_certified(t, k, policy)
-            total_raise = run.history[-1].raised if run.history else 0
+            total_raise = run.history[-1] if run.history else 0
             for h in range(1, k + 1):
                 assert dual_cost(run.dual, h) == (k - h + 1) * total_raise
 
@@ -227,9 +227,9 @@ class TestCertifiedRun:
         for trial in range(20):
             t, k, policy = random_case(trial, rng)
             run = run_greedydual_certified(t, k, policy)
-            for rec, event in zip(run.history, run.result.events):
+            for raised, event in zip(run.history, run.result.events):
                 if event.kind == FREE:
-                    assert rec.raised == 0
+                    assert raised == 0
 
     def test_stepwise_feasibility_and_bound(self):
         rng = random.Random(23)
@@ -238,11 +238,12 @@ class TestCertifiedRun:
             if len(t) > 30:
                 continue
             run = run_greedydual_certified(t, k, policy)
+            distance = 0
             for s, served in enumerate(served_steps(run)):
                 snapshot = dual_at_step(run, s, served)
                 assert check_feasibility(snapshot, t) == []
-                rec = run.history[s]
-                assert rec.distance <= k * rec.raised - served_b_sum(run, s, served)
+                distance += run.result.events[s].cost
+                assert distance <= k * run.history[s] - served_b_sum(run, s, served)
 
     def test_weak_duality_and_ratio(self):
         rng = random.Random(29)
@@ -428,10 +429,10 @@ def assert_slack_identity(run):
     result = run.result
     k, reqs, weights = result.k, result.trace.requests, result.trace.weights
     evicts = dict(result.paid)  # 0-based step -> evicted node
-    slack, before = 0, ()
+    slack, before, distance = 0, (), 0
     for s, served in enumerate(served_steps(run)):
-        rec = run.history[s]
-        now = k * rec.raised - served_b_sum(run, s, served) - rec.distance
+        distance += result.events[s].cost
+        now = k * run.history[s] - served_b_sum(run, s, served) - distance
         lift = 0
         if s in evicts:
             (victim,) = [e for e in before if reqs[e.i - 1] == evicts[s]]
@@ -643,23 +644,27 @@ class TestServedWalk:
         walked = list(served_steps(run))  # every item kept: each is its own snapshot
         assert walked == ref
         for s, served in enumerate(walked):
-            rec = run.history[s]
-            shift = rec.raised - run.history[-1].raised
-            left = set(range(s + 2)) - {e.i for e in ref[s]} - ({0} if rec.zero_mult else set())
+            shift = run.history[s] - run.history[-1]
+            unplaced = k - len(ref[s])  # GreedyDual never unplaces a server
+            left = set(range(s + 2)) - {e.i for e in ref[s]} - ({0} if unplaced else set())
             want_a = [run.dual.a[i] + shift if i in left else 0 for i in range(len(trace) + 1)]
             want_b = [run.dual.b[j] + shift if 1 <= j <= s + 1 else 0 for j in range(len(trace) + 2)]
             snapshot = dual_at_step(run, s, served)
             assert (list(snapshot.a), list(snapshot.b)) == (want_a, want_b[:-1])
             # b[s+2], the pointer of a server that moved at this request, is still 0
-            want_term = rec.zero_mult * want_b[1] + sum(want_b[e.moved + 1] for e in ref[s])
+            want_term = unplaced * want_b[1] + sum(want_b[e.moved + 1] for e in ref[s])
             assert served_b_sum(run, s, served) == want_term
         steps = [line.split(" ") for line in
                  export_certificate(run).splitlines() if line.startswith("step ")]
-        for rec, entries, e, step in zip(run.history, ref, run.result.events, steps, strict=True):
-            zero = [f"0*{rec.zero_mult}"] if rec.zero_mult else []
+        distance = 0
+        for raised, entries, e, step in zip(run.history, ref, run.result.events, steps, strict=True):
+            zero = [f"0*{k - len(entries)}"] if len(entries) < k else []
             assert step[-1] == "S=" + ",".join(zero + [f"{x.i}:{x.moved}" for x in entries])
             # kind and cost come from the walk's outcome; they match the event log
             assert step[2:4] == [f"kind={e.kind}", f"cost={e.cost}"]
+            # the raise is the run's history, the distance the event log's prefix sum
+            distance += e.cost
+            assert step[4:6] == [f"raised={raised}", f"dist={distance}"]
 
     def test_step_out_of_range(self):
         run = run_greedydual_certified(ABCA, 2)

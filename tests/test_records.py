@@ -11,7 +11,6 @@ from cachecomp.dualcert import (
     CertifiedRun,
     DualSolution,
     ServedEntry,
-    StepRecord,
     Violation,
     run_greedydual_certified,
 )
@@ -39,7 +38,6 @@ def _values():
         (OptSchedule, ("predecessor", "cost", "k"), ((0, 0, 1), 3, 1), True),
         (DualSolution, ("a", "b"), ((0, 1), (0, 2)), True),
         (ServedEntry, ("i", "moved"), (4, 2), True),
-        (StepRecord, ("zero_mult", "raised", "distance"), (0, 3, 1), True),
         (CertifiedRun, ("result", "dual", "relabel", "history", "relabels"),
          (result, cert.dual, "max", cert.history, cert.relabels), True),
         (Violation, ("i", "j", "excess"), (None, 2, 1), True),

@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_trace(path: str) -> RequestTrace:
-    return parse_trace(Path(path).read_text(encoding="utf-8-sig"))  # drops a byte-order mark
+    return parse_trace(Path(path).read_text(encoding="utf-8"))
 
 
 def _emit(summary: list[str], text: str | None, out: str | None) -> None:

@@ -30,11 +30,11 @@ at which that server last moved.
 The offset changes only when the algorithm pays, so the run is fully
 described by its paid decisions and the offset each one lowers to.
 ``run_greedydual_certified`` runs that one engine and replays those
-decisions once, reading the served-set walk ``_served_walk``.  The walk
-takes each request's outcome from ``strategies._walk_decisions``, which
-checks that a paid decision, and so a raise, sits at exactly each miss
-that finds every server placed, and names the request that leaves S
-there.  The replay makes no decision: it rebuilds the offset at each
+decisions once, reading the decision walk ``strategies._walk_decisions``.
+The walk checks that a paid decision, and so a raise, sits at exactly
+each miss that finds every server placed, and yields each request's
+outcome, the ``(i, moved)`` pair that leaves S there and S itself.  The
+replay makes no decision: it rebuilds the offset at each
 request and (a, b), and checks in exact arithmetic that
 
   * no offset decreases;
@@ -66,11 +66,13 @@ step costs.
 
 The served multiset is not kept per step.  Each request changes it by at
 most one removal and one insertion, so one O(N) walk of the trace beside
-the run's paid decisions, ``_served_walk``, rebuilds it in request order
-as ``ServedEntry``s for ``served_steps`` (``served_b_sum`` and
-``dual_at_step`` take that step's multiset), ``check_primal_dual_bound``
-and ``write_certificate``, which carries its ``S=`` text forward by the
-same removal and insertion.  A run keeps no walk state, every walk raises
+the run's paid decisions, ``_walk_decisions`` called with
+``flushes=False`` and ``error=CertificateError``, rebuilds it in request
+order as a dict of ``(i, moved)`` pairs for ``served_steps`` (which hands
+them out as ``ServedEntry``s; ``served_b_sum`` and ``dual_at_step`` take
+that step's multiset in either form), ``check_primal_dual_bound`` and
+``write_certificate``, which carries its ``S=`` text forward by the same
+removal and insertion.  A run keeps no walk state, every walk raises
 ``CertificateError`` on decisions that break the placement rule, and the
 certified run holds O(N + k) memory.
 """
@@ -79,6 +81,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Iterator
+from itertools import starmap
 from typing import NamedTuple, TextIO
 
 from .strategies import FREE, HIT, MAX_LOWER, MOVE, SimulationResult, _label_loop, _walk_decisions
@@ -149,32 +152,6 @@ class CertifiedRun(NamedTuple):
     relabels: tuple[tuple[int, int], ...]  # (1-based request, raise amount)
 
 
-def _served_walk(
-    result: SimulationResult,
-) -> Iterator[tuple[int | str, ServedEntry | None, dict[int, ServedEntry]]]:
-    """Walk a GreedyDual run's paid decisions over its trace, yielding per
-    request ``(outcome, left, served)``.  ``outcome`` is ``HIT``, ``FREE``
-    or the evicted node, from ``strategies._walk_decisions`` (never a
-    flush; a misfit raises ``CertificateError``).  ``left`` is the entry of
-    the request that leaves S here, the one a hit supersedes or the victim,
-    else None.  ``served`` is one dict, updated in place, mapping each
-    served node to its ``ServedEntry``, whose ``moved`` a hit keeps and a
-    placement or a move sets to the request itself.  A request re-inserts
-    its node, so the values stay ordered by ``i``; no server is ever
-    unplaced, so k - len(served) of them are not yet placed."""
-    trace = result.trace
-    served: dict[int, ServedEntry] = {}
-    outcomes = _walk_decisions(trace, result.k, result.paid, flushes=False, error=CertificateError)
-    for idx, (v, outcome) in enumerate(zip(trace.requests, outcomes, strict=True), start=1):
-        if outcome is HIT:
-            left = served.pop(v)
-            served[v] = ServedEntry(idx, left.moved)
-        else:
-            left = None if outcome is FREE else served.pop(outcome)
-            served[v] = ServedEntry(idx, idx)
-        yield outcome, left, served
-
-
 def run_greedydual_certified(
     trace: RequestTrace,
     k: int,
@@ -197,10 +174,11 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
     each paid move.  The offset is the cumulative raise.  The replay keeps
     it after each request as ``offsets``, so that once request n has
     relabelled, raised = offsets[n] and the current b[j] for j <= n is
-    raised - offsets[j-1]; ``offsets[1:]`` is the run's ``history``.  Each request's outcome, the request that
-    leaves S there and the served multiset come from ``_served_walk``;
-    H >= 0 is checked as each request leaves S: when a hit supersedes
-    it, when it is evicted, or at the end."""
+    raised - offsets[j-1]; ``offsets[1:]`` is the run's ``history``.
+    Each request's outcome, the request that leaves S there and the
+    served multiset come from ``_walk_decisions``; H >= 0 is checked as
+    each request leaves S: when a hit supersedes it, when it is evicted,
+    or at the end."""
     trace = result.trace
     n = len(trace)
     requests, weights = trace.requests, trace.weights
@@ -213,8 +191,8 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
     offsets = [0]  # offsets[0] is the offset before request 1
     level_at = iter(levels)
 
-    served: dict[int, ServedEntry] = {}  # the walk's dict; stays empty on an empty trace
-    walk = _served_walk(result)
+    served: dict[int, tuple[int, int]] = {}  # the walk's dict; stays empty on an empty trace
+    walk = _walk_decisions(trace, result.k, result.paid, flushes=False, error=CertificateError)
     for idx, (outcome, gone, served) in enumerate(walk, start=1):
         if outcome is not HIT and outcome is not FREE:  # a paid move
             rho = next(level_at) - raised
@@ -223,20 +201,21 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
             raised += rho
             if rho:
                 relabels.append((idx, rho))
-            # L > 0 and H < 0 cannot both hold here: gone.moved <= gone.i
-            if weights[outcome] > raised - offsets[gone.moved]:
+            # L > 0 and H < 0 cannot both hold here: the victim's moved <= its i
+            if weights[outcome] > raised - offsets[gone[1]]:
                 raise CertificateError(f"evicted server has L > 0 at request {idx}")
             distance += weights[outcome]
         if gone is not None:
-            if raised - offsets[gone.i] > weights[requests[gone.i - 1]]:
-                raise CertificateError(f"b[{gone.i + 1}] exceeds served weight at request {idx}")
-            left[gone.i] = raised
+            i = gone[0]
+            if raised - offsets[i] > weights[requests[i - 1]]:
+                raise CertificateError(f"b[{i + 1}] exceeds served weight at request {idx}")
+            left[i] = raised
         offsets.append(raised)
 
-    for v, entry in served.items():  # the requests still in S leave it at the end
-        if raised - offsets[entry.i] > weights[v]:
-            raise CertificateError(f"b[{entry.i + 1}] exceeds served weight at request {n}")
-        left[entry.i] = raised
+    for v, (i, _) in served.items():  # the requests still in S leave it at the end
+        if raised - offsets[i] > weights[v]:
+            raise CertificateError(f"b[{i + 1}] exceeds served weight at request {n}")
+        left[i] = raised
     if distance != result.total_cost:
         raise CertificateError(f"paid distance {distance} != total cost {result.total_cost}")
     b = [0] + [raised - x for x in offsets[:n]]
@@ -321,28 +300,33 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
         cost <= k/(k-h+1) * dual_cost(h) - sum over served i of b[i'+1]
 
     evaluated exactly as (k-h+1)*cost <= k*dual_cost - (k-h+1)*sum(...).
-    The final served set comes from a walk of ``run.result``, which also
-    checks that its paid decisions fit the trace: with a kept final S, a
-    swapped-in result's cost would be priced against the old dual.
+    The final served set is the last state of the one decision walk,
+    ``_walk_decisions``, over ``run.result``; the same walk checks that
+    its paid decisions fit the trace, so it stays even though ``_replay``
+    held that S: with a kept final S, a swapped-in result's cost would be
+    priced against the old dual.
     """
-    k = run.result.k
+    result = run.result
+    k = result.k
     if not 1 <= h <= k:
         raise ValueError("need 1 <= h <= k")
     dc = dual_cost(run.dual, h)
-    cost = run.result.total_cost
-    served: dict[int, ServedEntry] = {}
-    for _, _, served in _served_walk(run.result):
+    served: dict[int, tuple[int, int]] = {}
+    walk = _walk_decisions(result.trace, k, result.paid, flushes=False, error=CertificateError)
+    for _, _, served in walk:
         pass  # one dict, updated in place: its last state is the final S
     served_sum = served_b_sum(run, len(run.history) - 1, served.values()) if run.history else 0
-    return (k - h + 1) * cost <= k * dc - (k - h + 1) * served_sum
+    return (k - h + 1) * result.total_cost <= k * dc - (k - h + 1) * served_sum
 
 
 def served_steps(run: CertifiedRun) -> Iterator[tuple[ServedEntry, ...]]:
     """The served multiset after each request, in request order, each
     ordered by request; k minus its size servers are unplaced.  One walk
     of the paid decisions, O(k) per step."""
-    for _, _, served in _served_walk(run.result):
-        yield tuple(served.values())
+    result = run.result
+    walk = _walk_decisions(result.trace, result.k, result.paid, flushes=False, error=CertificateError)
+    for _, _, served in walk:
+        yield tuple(starmap(ServedEntry, served.values()))
 
 
 def _shift(run: CertifiedRun, step: int) -> int:
@@ -352,30 +336,32 @@ def _shift(run: CertifiedRun, step: int) -> int:
     return run.history[step] - run.history[-1]
 
 
-def served_b_sum(run: CertifiedRun, step: int, served: Iterable[ServedEntry]) -> int:
+def served_b_sum(run: CertifiedRun, step: int, served: Iterable[tuple[int, int]]) -> int:
     """Recompute the served-set term sum over S of b[moved+1] as of
-    ``step`` (0-based), given that step's item of ``served_steps``; the
-    k - |S| unplaced servers each point at b[1]."""
+    ``step`` (0-based), given that step's served ``(i, moved)`` pairs,
+    such as its item of ``served_steps``; the k - |S| unplaced servers
+    each point at b[1]."""
     shift = _shift(run, step)
     served = tuple(served)
     b = run.dual.b
     total = (run.result.k - len(served)) * (b[1] + shift)
     # a server that moved at this request points at b[step+2], not yet defined: 0
-    return total + sum(b[e.moved + 1] + shift for e in served if e.moved <= step)
+    return total + sum(b[moved + 1] + shift for _, moved in served if moved <= step)
 
 
 def dual_at_step(
-    run: CertifiedRun, step: int, served: Iterable[ServedEntry]
+    run: CertifiedRun, step: int, served: Iterable[tuple[int, int]]
 ) -> DualSolution:
     """The dual solution as it stood after processing request ``step``
-    (0-based), given that step's item of ``served_steps``: b[j] for the
+    (0-based), given that step's served ``(i, moved)`` pairs, such as its
+    item of ``served_steps``: b[j] for the
     requests seen so far and a[i] for those that have left S, each its
     final value shifted down by the raise still to come; zeros elsewhere.
     Request 0 stays in S while fewer than k servers are placed."""
     shift = _shift(run, step)
     served = tuple(served)
     n = run.dual.n
-    in_s = {e.i for e in served}
+    in_s = {i for i, _ in served}
     a, b = [0] * (n + 1), [0] * (n + 1)
     for j in range(1, step + 2):
         b[j] = run.dual.b[j] + shift
@@ -389,7 +375,7 @@ def dual_at_step(
 
 def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     """The v1 text certificate, one newline-terminated line at a time.
-    A step's kind and cost come from its outcome in ``_served_walk``, and
+    A step's kind and cost come from its outcome in ``_walk_decisions``, and
     ``dist=`` is the running sum of those costs.  Its ``S=`` text is
     ``0*(k - |S|)`` while servers are unplaced, then the previous step's
     ``i:moved`` tokens with the entry that leaves S cut and the new
@@ -409,12 +395,12 @@ def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     k, requests, weights = result.k, trace.requests, trace.weights
     tokens = ","  # each token ends in a comma, so ",i:moved," matches exactly one
     distance = 0
-    walk = _served_walk(result)
+    walk = _walk_decisions(trace, k, result.paid, flushes=False, error=CertificateError)
     for t, (raised, (outcome, left, served)) in enumerate(zip(run.history, walk), start=1):
         kind, cost = (outcome, 0) if outcome is HIT or outcome is FREE else (MOVE, weights[outcome])
         distance += cost
         if left is not None:
-            tokens = tokens.replace(f",{left.i}:{left.moved},", ",", 1)
+            tokens = tokens.replace(",{}:{},".format(*left), ",", 1)
         tokens += "{}:{},".format(*served[requests[t - 1]])
         # the requested node is served after every step, so S is never empty
         zero = f"0*{k - len(served)}," if len(served) < k else ""

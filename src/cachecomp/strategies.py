@@ -23,8 +23,10 @@ means the node was evicted once in between; after its last request a
 node is evicted iff it is not among the k most recently requested.
 Sweeps read only the cost, so they never build a per-request log;
 ``SimulationResult.events`` is expanded from the decisions on first
-access.  It and ``dualcert``'s walks read the decisions through
-``_walk_decisions``, their one fit check.  A placed server is never
+access.  It and ``dualcert``'s replay, bound check, served steps and
+certificate read the decisions through ``_walk_decisions``, their one
+fit check and the one holder of the served set S, which yields each
+request's outcome beside S.  A placed server is never
 unplaced except by a flush, which unplaces them all, so the lowest
 unplaced server id is always the number of servers placed.
 
@@ -133,7 +135,7 @@ class SimulationResult(_Record):
         events: list[Event] = []
         held = 0  # the served nodes' summed weight, which a flush pays
         walk = _walk_decisions(self.trace, self.k, self.paid)
-        for i, (v, u) in enumerate(zip(self.trace.requests, walk, strict=True)):
+        for i, (v, (u, _, _)) in enumerate(zip(self.trace.requests, walk, strict=True)):
             if u is HIT:
                 events.append(Event(i, v, HIT))
                 continue
@@ -171,38 +173,46 @@ def _walk_decisions(
     paid: Iterable[tuple[int, int | None]],
     flushes: bool = True,
     error: type[Exception] = ValueError,
-) -> Iterator[int | str]:
-    """Yield, per request, what it does under the paid decisions: ``HIT``,
-    ``FREE`` (it places a server), the node its move evicts, or ``FLUSH``
-    (it unplaces every server, then places one); callers tell the markers
-    from node ids by identity.  This is the one fit check: a decision falls
-    at exactly each miss that finds all k servers placed, and a move evicts
-    a served node (so does a flush when ``flushes`` is false).  The first
-    misfit, or a decision left over, raises ``error`` naming its 1-based
-    request."""
-    served: set[int] = set()
+) -> Iterator[tuple[int | str, tuple[int, int] | None, dict[int, tuple[int, int]]]]:
+    """Yield, per request, ``(outcome, left, served)`` under the paid
+    decisions.  ``outcome`` is ``HIT``, ``FREE`` (it places a server), the
+    node its move evicts, or ``FLUSH`` (it unplaces every server, then
+    places one); callers tell the markers from node ids by identity.
+    ``served`` is one dict, updated in place, mapping each served node to
+    ``(i, moved)``: the 1-based request it serves and the one at which its
+    server last moved, which a hit keeps and a placement or a move sets to
+    the request itself.  A request re-inserts its node, so the values stay
+    ordered by ``i``.  ``left`` is the pair that leaves S here, the one a
+    hit supersedes or the victim's; None on a placement or a flush.
+
+    This is the one fit check: a decision falls at exactly each miss that
+    finds all k servers placed, and a move evicts a served node (so does a
+    flush when ``flushes`` is false).  The first misfit, or a decision
+    left over, raises ``error`` naming its 1-based request."""
+    served: dict[int, tuple[int, int]] = {}
     decisions = iter(paid)
     due, evicted = next(decisions, (None, None))
     for i, v in enumerate(trace.requests):
-        hit = v in served
-        if (i == due) == (hit or len(served) < k):
+        left = served.pop(v, None)
+        if (i == due) == (left is not None or len(served) < k):
             raise error(f"paid decisions do not fit request {i + 1}")
-        if hit:
-            yield HIT
-        elif i != due:
-            served.add(v)
-            yield FREE
+        if left is not None:
+            served[v] = (i + 1, left[1])
+            yield HIT, left, served
+            continue
+        if i != due:
+            u = FREE
         else:
             u, (due, evicted) = evicted, next(decisions, (None, None))
             if u is None and flushes:
                 served.clear()
                 u = FLUSH
-            elif u in served:
-                served.remove(u)
             else:
-                raise error(f"request {i + 1} evicts an unserved node")
-            served.add(v)
-            yield u
+                left = served.pop(u, None)
+                if left is None:
+                    raise error(f"request {i + 1} evicts an unserved node")
+        served[v] = (i + 1, i + 1)
+        yield u, left, served
     if due is not None:
         raise error(f"paid decisions do not fit: request {due + 1} is left over")
 

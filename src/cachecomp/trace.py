@@ -119,8 +119,10 @@ def parse_trace(text: str) -> RequestTrace:
     and nodes are numbered 0, 1, ... in order of first appearance.
     A node's weight defaults to 1 when never given explicitly; an explicit
     weight applies to the node for the whole trace, and restating a
-    different explicit weight for the same node is an error.
+    different explicit weight for the same node is an error.  One leading
+    byte-order mark (U+FEFF) is dropped, so it never joins the first label.
     """
+    text = text.removeprefix("\ufeff")
     ids: dict[str, int] = {}  # label -> node; iterates in first-appearance order
     explicit: dict[int, int] = {}
     requests: list[int] = []

@@ -540,6 +540,46 @@ class TestDeterminism:
         assert out1 == out2
 
 
+class TestDecisionWalks:
+    """How many times each subcommand walks a run's paid decisions
+    through ``strategies._walk_decisions``: the certified replay, the
+    certificate and the bound check once each, the event log once, and
+    a sweep never, as it reads only costs."""
+
+    @pytest.mark.parametrize(
+        "argv_template, walks",
+        [
+            (["certify", "--k", "2", "--trace", "{t}", "--out", "{o}"], 3),
+            (["certify", "--k", "2", "--trace", "{t}"], 2),
+            (["simulate", "--strategy", "greedydual", "--k", "2", "--trace", "{t}", "-v"], 1),
+            (
+                [
+                    "sweep", "--trace", "{t}", "--n", "3", "--trials", "4", "--strategies",
+                    "lru,fifo,fwf,balance,mark,greedydual:max,greedydual:min",
+                ],
+                0,
+            ),
+        ],
+    )
+    def test_walk_count(self, capsys, monkeypatch, tmp_path, weighted_file, argv_template,
+                        walks):
+        from cachecomp import dualcert, strategies
+
+        walked = []
+        walk = strategies._walk_decisions
+
+        def counted(*args, **kwargs):
+            walked.append(args)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(strategies, "_walk_decisions", counted)
+        monkeypatch.setattr(dualcert, "_walk_decisions", counted)
+        argv = [a.format(t=weighted_file, o=tmp_path / "out.txt") for a in argv_template]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(walked) == walks
+
+
 def loaded_in_fresh_interpreter(code: str, *flags: str) -> set[str]:
     """Every module a new interpreter, started with ``flags``, holds after
     ``code``."""

@@ -62,6 +62,14 @@ class TestParse:
         assert t.labels == ("z", "y", "x")
         assert t.requests == (0, 1, 2, 0)
 
+    def test_leading_byte_order_mark_is_dropped(self):
+        plain = parse_trace("a\nb\na\nb\n")
+        assert parse_trace("\ufeffa\nb\na\nb\n") == plain
+        assert plain.labels == ("a", "b") and plain.num_nodes == 2
+        # only one mark, and only at the very start: any other is label text
+        assert parse_trace("\ufeff\ufeffa\n").labels == ("\ufeffa",)
+        assert parse_trace("a\n\ufeffa\n").labels == ("a", "\ufeffa")
+
 
 def reference_parse(text):
     """The per-line parser ``parse_trace`` was written as, kept as its

@@ -54,25 +54,15 @@ decides feasibility of any (a, b) exactly in one O(N) backward scan: for
 each request only the largest later b at its own node and the largest at
 any other node bind.
 
-The dual is stored once, as the final (a, b) in ``CertifiedRun.dual``,
-and ``CertifiedRun.history`` keeps one integer per request: the
-cumulative raise after it.  A raise lifts every live variable by the
-same amount, so after step s every b[j] with j <= s+1 and every a[i] of
-a request that has left S stands at its final value plus raised_s - R
-(``dual_at_step``, ``served_b_sum``).  GreedyDual never unplaces a
-server, so the unplaced servers after a step are k minus the size of
-its served multiset, and the paid distance is the running sum of the
-step costs.
-
-The served multiset is not kept per step.  Each request changes it by at
-most one removal and one insertion, so one O(N) walk of the trace beside
-the run's paid decisions, ``_walk_decisions`` called with
-``flushes=False`` and ``error=CertificateError``, rebuilds it in request
-order as a dict of ``(i, moved)`` pairs for ``served_steps`` (which hands
-them out as ``ServedEntry``s; ``served_b_sum`` and ``dual_at_step`` take
-that step's multiset in either form), ``check_primal_dual_bound`` and
-``write_certificate``, which carries its ``S=`` text forward by the same
-removal and insertion.  A run keeps no walk state, every walk raises
+The dual is stored once, as the final (a, b) in ``CertifiedRun.dual``;
+the per-step duals are only how the proof goes.  ``CertifiedRun.history``
+keeps one integer per request, the cumulative raise after it, and the
+served multiset is not kept at all.  Each request changes it by at most
+one removal and one insertion, so one O(N) walk of the paid decisions,
+``_walk_decisions`` called with ``flushes=False`` and
+``error=CertificateError``, rebuilds it in request order as a dict of
+``(i, moved)`` pairs for ``check_primal_dual_bound`` (its final state)
+and ``write_certificate`` (each step's ``S=`` text).  Every walk raises
 ``CertificateError`` on decisions that break the placement rule, and the
 certified run holds O(N + k) memory.
 """
@@ -80,8 +70,7 @@ certified run holds O(N + k) memory.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator
-from itertools import starmap
+from collections.abc import Iterator
 from typing import NamedTuple, TextIO
 
 from .strategies import FREE, HIT, MAX_LOWER, MOVE, SimulationResult, _label_loop, _walk_decisions
@@ -89,7 +78,6 @@ from .trace import RequestTrace, _Record
 
 __all__ = [
     "DualSolution",
-    "ServedEntry",
     "CertifiedRun",
     "CertificateError",
     "Violation",
@@ -98,9 +86,6 @@ __all__ = [
     "check_feasibility",
     "check_feasibility_fast",
     "check_primal_dual_bound",
-    "dual_at_step",
-    "served_steps",
-    "served_b_sum",
     "export_certificate",
     "write_certificate",
 ]
@@ -131,15 +116,6 @@ class DualSolution(_Record):
     @property
     def n(self) -> int:
         return len(self.a) - 1
-
-
-class ServedEntry(NamedTuple):
-    """One served request ``i`` whose server last moved at request
-    ``moved``.  Indices are 1-based; the artificial request 0 is never an
-    entry: it holds the k - |S| unplaced servers."""
-
-    i: int
-    moved: int
 
 
 class CertifiedRun(NamedTuple):
@@ -299,8 +275,9 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
 
         cost <= k/(k-h+1) * dual_cost(h) - sum over served i of b[i'+1]
 
-    evaluated exactly as (k-h+1)*cost <= k*dual_cost - (k-h+1)*sum(...).
-    The final served set is the last state of the one decision walk,
+    evaluated exactly as (k-h+1)*cost <= k*dual_cost - (k-h+1)*sum(...),
+    where the k - |S| unplaced servers each point at b[1].  The final
+    served set is the last state of the one decision walk,
     ``_walk_decisions``, over ``run.result``; the same walk checks that
     its paid decisions fit the trace, so it stays even though ``_replay``
     held that S: with a kept final S, a swapped-in result's cost would be
@@ -315,62 +292,11 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
     walk = _walk_decisions(result.trace, k, result.paid, flushes=False, error=CertificateError)
     for _, _, served in walk:
         pass  # one dict, updated in place: its last state is the final S
-    served_sum = served_b_sum(run, len(run.history) - 1, served.values()) if run.history else 0
+    b, n = run.dual.b, run.dual.n
+    served_sum = (k - len(served)) * b[1] if n else 0  # an empty trace has no b[1]
+    # a server that moved at the last request points at b[n+1], which is 0
+    served_sum += sum(b[moved + 1] for _, moved in served.values() if moved < n)
     return (k - h + 1) * result.total_cost <= k * dc - (k - h + 1) * served_sum
-
-
-def served_steps(run: CertifiedRun) -> Iterator[tuple[ServedEntry, ...]]:
-    """The served multiset after each request, in request order, each
-    ordered by request; k minus its size servers are unplaced.  One walk
-    of the paid decisions, O(k) per step."""
-    result = run.result
-    walk = _walk_decisions(result.trace, result.k, result.paid, flushes=False, error=CertificateError)
-    for _, _, served in walk:
-        yield tuple(starmap(ServedEntry, served.values()))
-
-
-def _shift(run: CertifiedRun, step: int) -> int:
-    """raised_step - R: how far the dual after ``step`` lies below the final."""
-    if not 0 <= step < len(run.history):
-        raise ValueError("step out of range")
-    return run.history[step] - run.history[-1]
-
-
-def served_b_sum(run: CertifiedRun, step: int, served: Iterable[tuple[int, int]]) -> int:
-    """Recompute the served-set term sum over S of b[moved+1] as of
-    ``step`` (0-based), given that step's served ``(i, moved)`` pairs,
-    such as its item of ``served_steps``; the k - |S| unplaced servers
-    each point at b[1]."""
-    shift = _shift(run, step)
-    served = tuple(served)
-    b = run.dual.b
-    total = (run.result.k - len(served)) * (b[1] + shift)
-    # a server that moved at this request points at b[step+2], not yet defined: 0
-    return total + sum(b[moved + 1] + shift for _, moved in served if moved <= step)
-
-
-def dual_at_step(
-    run: CertifiedRun, step: int, served: Iterable[tuple[int, int]]
-) -> DualSolution:
-    """The dual solution as it stood after processing request ``step``
-    (0-based), given that step's served ``(i, moved)`` pairs, such as its
-    item of ``served_steps``: b[j] for the
-    requests seen so far and a[i] for those that have left S, each its
-    final value shifted down by the raise still to come; zeros elsewhere.
-    Request 0 stays in S while fewer than k servers are placed."""
-    shift = _shift(run, step)
-    served = tuple(served)
-    n = run.dual.n
-    in_s = {i for i, _ in served}
-    a, b = [0] * (n + 1), [0] * (n + 1)
-    for j in range(1, step + 2):
-        b[j] = run.dual.b[j] + shift
-    if len(served) < run.result.k:
-        in_s.add(0)  # request 0 holds the unplaced servers
-    for i in range(step + 2):
-        if i not in in_s:
-            a[i] = run.dual.a[i] + shift
-    return DualSolution(tuple(a), tuple(b))
 
 
 def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
@@ -396,7 +322,9 @@ def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     tokens = ","  # each token ends in a comma, so ",i:moved," matches exactly one
     distance = 0
     walk = _walk_decisions(trace, k, result.paid, flushes=False, error=CertificateError)
-    for t, (raised, (outcome, left, served)) in enumerate(zip(run.history, walk), start=1):
+    # strict: past the last request the walk checks that every paid decision fit
+    steps = zip(run.history, walk, strict=True)
+    for t, (raised, (outcome, left, served)) in enumerate(steps, start=1):
         kind, cost = (outcome, 0) if outcome is HIT or outcome is FREE else (MOVE, weights[outcome])
         distance += cost
         if left is not None:

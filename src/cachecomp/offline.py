@@ -301,20 +301,16 @@ def opt_belady(trace: RequestTrace, k: int) -> int:
     reqs = trace.requests
     nxt = _next_use(reqs)  # len(reqs) = never
     cached: set[int] = set()
-    upcoming: dict[int, int] = {}  # node -> its next use position
-    heap: list[tuple[int, int]] = []  # (-next use, node), lazily invalidated
+    heap: list[tuple[int, int]] = []  # (-next use, node)
     cost = 0
     for i, v in enumerate(reqs):
         if v not in cached:
             if len(cached) >= k:
-                while True:
-                    negpos, u = heapq.heappop(heap)
-                    if u in cached and upcoming[u] == -negpos:
-                        break
-                cached.remove(u)
+                # every entry left is a cached node's latest (next use > i) or was
+                # superseded before i (an eviction pops its victim's): the top is live
+                cached.remove(heapq.heappop(heap)[1])
                 cost += 1
             cached.add(v)
-        upcoming[v] = nxt[i]
         heapq.heappush(heap, (-nxt[i], v))
     return cost
 

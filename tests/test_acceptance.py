@@ -17,14 +17,7 @@ from fractions import Fraction
 import pytest
 
 from cachecomp import cli
-from cachecomp.dualcert import (
-    check_feasibility,
-    dual_at_step,
-    dual_cost,
-    run_greedydual_certified,
-    served_b_sum,
-    served_steps,
-)
+from cachecomp.dualcert import check_feasibility, dual_cost
 from cachecomp.offline import (
     opt_belady,
     opt_bruteforce,
@@ -47,6 +40,7 @@ from cachecomp.sweep import (
     violator_bound_limit,
 )
 from cachecomp.trace import RequestTrace, generate_cyclic, generate_random
+from stepwise import dual_at_step, served_b_sum, snapshots
 from test_dualcert import exhaustive_check_feasibility
 
 CONSERVATIVE = ("lru", "fifo", "fwf")
@@ -82,7 +76,7 @@ def test_c02_primal_dual_bound(corpus, certified_runs, opt_profiles):
         k = member.k
         sampler = random.Random(member.idx)
         sampled = {sampler.randrange(len(cert.history)) for _ in range(5)} if cert.history else set()
-        walk = zip(cert.history, served_steps(cert), cert.result.events, strict=True)
+        walk = zip(cert.history, snapshots(cert), cert.result.events, strict=True)
         distance = 0
         for s, (raised, served, event) in enumerate(walk):
             distance += event.cost

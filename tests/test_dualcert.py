@@ -10,32 +10,27 @@ from hypothesis import strategies as st
 from cachecomp.dualcert import (
     CertificateError,
     DualSolution,
-    ServedEntry,
     Violation,
     _replay,
     check_feasibility,
     check_feasibility_fast,
     check_primal_dual_bound,
-    dual_at_step,
     dual_cost,
     export_certificate,
     run_greedydual_certified,
-    served_b_sum,
-    served_steps,
     write_certificate,
 )
 from cachecomp.offline import opt_flow
 from cachecomp.strategies import (
     FREE,
-    HIT,
     MAX_LOWER,
     MIN_LOWER,
-    MOVE,
     SimulationResult,
     _label_loop,
     run_greedydual,
 )
 from cachecomp.trace import RequestTrace, generate_random, parse_trace
+from stepwise import dual_at_step, served_b_sum, snapshots
 from test_reference_strategies import traces
 
 ABCA = parse_trace("a\nb\nc\na\n")
@@ -239,7 +234,7 @@ class TestCertifiedRun:
                 continue
             run = run_greedydual_certified(t, k, policy)
             distance = 0
-            for s, served in enumerate(served_steps(run)):
+            for s, served in enumerate(snapshots(run)):
                 snapshot = dual_at_step(run, s, served)
                 assert check_feasibility(snapshot, t) == []
                 distance += run.result.events[s].cost
@@ -263,7 +258,7 @@ class TestCertifiedRun:
         for trial in range(20):
             t, k, policy = random_case(trial, rng)
             run = run_greedydual_certified(t, k, policy)
-            *_, final = served_steps(run)
+            *_, final = snapshots(run)
             served_term = served_b_sum(run, len(t) - 1, final)
             for h in range(1, k + 1):
                 c = k - h + 1
@@ -396,7 +391,7 @@ class TestReplayChecks:
         k = data.draw(st.integers(1, min(6, distinct - 1)), label="k")
         levels = []
         result = _label_loop(trace, k, policy, levels=levels)
-        steps = list(served_steps(_replay(result, levels)))
+        steps = snapshots(_replay(result, levels))
         j = data.draw(st.integers(0, len(levels) - 1), label="j")
         delta = data.draw(st.integers(1, 9), label="delta")
         raised = levels[:j] + [x + delta for x in levels[j:]]
@@ -430,7 +425,7 @@ def assert_slack_identity(run):
     k, reqs, weights = result.k, result.trace.requests, result.trace.weights
     evicts = dict(result.paid)  # 0-based step -> evicted node
     slack, before, distance = 0, (), 0
-    for s, served in enumerate(served_steps(run)):
+    for s, served in enumerate(snapshots(run)):
         distance += result.events[s].cost
         now = k * run.history[s] - served_b_sum(run, s, served) - distance
         lift = 0
@@ -475,7 +470,7 @@ class TestBoundSlack:
         if not levels:
             return
         m = data.draw(st.integers(0, len(levels) - 1), label="m")
-        others = _alternatives(result, list(served_steps(run)), m)
+        others = _alternatives(result, snapshots(run), m)
         if others and data.draw(st.booleans(), label="redirect"):
             bad = (_redirected(result, m, data.draw(st.sampled_from(others))), levels)
         else:
@@ -497,7 +492,7 @@ class TestBoundSlack:
             t, k, policy = random_case(trial, rng)
             levels = []
             result = _label_loop(t, k, policy, levels=levels)
-            steps = list(served_steps(_replay(result, levels)))
+            steps = snapshots(_replay(result, levels))
             for m in range(len(levels)):
                 cases = [("raise", result, levels[:m] + [x + 1 for x in levels[m:]])]
                 cases += [("redirect", _redirected(result, m, u), levels)
@@ -611,49 +606,15 @@ class TestExport:
         assert streamed.getvalue() == text
 
 
-def reference_snapshots(run):
-    """The served multiset after each request, by its definition and kept
-    whole at every step: each placed node with its latest request i and
-    the latest request at which its server moved in (a miss), by i."""
-    placed: set[int] = set()
-    last: dict[int, int] = {}
-    moved: dict[int, int] = {}
-    snapshots = []
-    for idx, ev in enumerate(run.result.events, start=1):
-        v = run.result.trace.requests[idx - 1]
-        if ev.kind == MOVE:
-            placed.remove(ev.evicted)
-        if ev.kind != HIT:
-            moved[v] = idx
-        placed.add(v)
-        last[v] = idx
-        entries = (ServedEntry(last[u], moved[u]) for u in placed)
-        snapshots.append(tuple(sorted(entries, key=lambda e: e.i)))
-    return snapshots
-
-
 class TestServedWalk:
     """The served multiset rebuilt from the paid decisions in request order
-    equals per-step snapshots, in ``served_steps`` and in the export."""
+    equals the event log's per-step snapshots in the export."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(trace=traces(), k=st.integers(1, 8), policy=st.sampled_from(POLICIES))
     def test_matches_reference_snapshots(self, trace, k, policy):
         run = run_greedydual_certified(trace, k, policy)
-        ref = reference_snapshots(run)
-        walked = list(served_steps(run))  # every item kept: each is its own snapshot
-        assert walked == ref
-        for s, served in enumerate(walked):
-            shift = run.history[s] - run.history[-1]
-            unplaced = k - len(ref[s])  # GreedyDual never unplaces a server
-            left = set(range(s + 2)) - {e.i for e in ref[s]} - ({0} if unplaced else set())
-            want_a = [run.dual.a[i] + shift if i in left else 0 for i in range(len(trace) + 1)]
-            want_b = [run.dual.b[j] + shift if 1 <= j <= s + 1 else 0 for j in range(len(trace) + 2)]
-            snapshot = dual_at_step(run, s, served)
-            assert (list(snapshot.a), list(snapshot.b)) == (want_a, want_b[:-1])
-            # b[s+2], the pointer of a server that moved at this request, is still 0
-            want_term = unplaced * want_b[1] + sum(want_b[e.moved + 1] for e in ref[s])
-            assert served_b_sum(run, s, served) == want_term
+        ref = snapshots(run)
         steps = [line.split(" ") for line in
                  export_certificate(run).splitlines() if line.startswith("step ")]
         distance = 0
@@ -666,34 +627,23 @@ class TestServedWalk:
             distance += e.cost
             assert step[4:6] == [f"raised={raised}", f"dist={distance}"]
 
-    def test_step_out_of_range(self):
-        run = run_greedydual_certified(ABCA, 2)
-        last = list(served_steps(run))[-1]
-        for step in (-1, 4):
-            with pytest.raises(ValueError):
-                served_b_sum(run, step, last)
-            with pytest.raises(ValueError):
-                dual_at_step(run, step, last)
-
     def test_run_holds_only_its_fields(self):
-        """Walking, querying, bounding and exporting leave no state on the
-        run: it stays plain data."""
+        """Bounding and exporting leave no state on the run: it stays plain
+        data."""
         run = run_greedydual_certified(generate_random(10, 300, 9, seed=43), 3)
-        for s, served in enumerate(served_steps(run)):
-            served_b_sum(run, s, served)
-            dual_at_step(run, s, served)
         assert check_primal_dual_bound(run, 2)
         write_certificate(run, io.StringIO())
         assert run._fields == ("result", "dual", "relabel", "history", "relabels")
         assert not hasattr(run, "__dict__")
 
     def test_certifying_never_expands_the_event_log(self):
-        """Certifying, exporting, bounding and walking read the run's paid
-        decisions; none of them builds its per-request event log."""
+        """Certifying, exporting and bounding read the run's paid decisions;
+        none of them builds its per-request event log."""
         run = run_greedydual_certified(generate_random(10, 300, 9, seed=43), 3)
-        write_certificate(run, io.StringIO())
+        text = io.StringIO()
+        write_certificate(run, text)
+        assert text.getvalue().count("\nstep ") == 300
         assert check_primal_dual_bound(run, 2)
-        assert len(list(served_steps(run))) == 300
         assert "events" not in vars(run.result)
 
 

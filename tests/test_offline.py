@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cachecomp import offline
 from cachecomp.offline import (
     FLOW_CAP,
     InstanceSizeError,
@@ -19,6 +20,7 @@ from cachecomp.offline import (
     opt_paging_profile,
     opt_single_server,
 )
+from cachecomp.sweep import sweep
 from cachecomp.trace import RequestTrace, generate_cyclic, generate_random, parse_trace
 
 ABCA = parse_trace("a\nb\nc\na\n")
@@ -48,6 +50,23 @@ class TestOptFlow:
             opt_flow(t, 2)
         with pytest.raises(InstanceSizeError):
             opt_flow_profile(t, 2)
+
+    def test_size_cap_is_inclusive(self, monkeypatch):
+        """A trace of exactly ``FLOW_CAP`` requests solves, under the flow,
+        its profile and a weighted sweep; one request more is refused."""
+        monkeypatch.setattr(offline, "FLOW_CAP", 40)
+        at_cap = generate_random(6, 40, 5, seed=3)
+        profile = opt_flow_profile(at_cap, 3)
+        assert [opt_flow(at_cap, k).cost for k in (1, 2, 3)] == profile
+        assert [row.opt_cost for row in sweep(at_cap, ["lru"], 3).rows] == profile
+        over = generate_random(6, 41, 5, seed=3)
+        for solve in (
+            lambda: opt_flow(over, 2),
+            lambda: opt_flow_profile(over, 2),
+            lambda: sweep(over, ["lru"], 2),
+        ):
+            with pytest.raises(InstanceSizeError, match="^flow solver capped at 40 requests"):
+                solve()
 
     def test_k_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ import pytest
 from cachecomp.dualcert import (
     CertifiedRun,
     DualSolution,
-    ServedEntry,
     Violation,
     run_greedydual_certified,
 )
@@ -37,7 +36,6 @@ def _values():
          (2, 4, (0, 2), (1,), (2, 2)), True),
         (OptSchedule, ("predecessor", "cost", "k"), ((0, 0, 1), 3, 1), True),
         (DualSolution, ("a", "b"), ((0, 1), (0, 2)), True),
-        (ServedEntry, ("i", "moved"), (4, 2), True),
         (CertifiedRun, ("result", "dual", "relabel", "history", "relabels"),
          (result, cert.dual, "max", cert.history, cert.relabels), True),
         (Violation, ("i", "j", "excess"), (None, 2, 1), True),

@@ -14,7 +14,7 @@ from cachecomp.dualcert import (
     _replay,
     check_primal_dual_bound,
     run_greedydual_certified,
-    served_steps,
+    write_certificate,
 )
 from cachecomp.offline import opt_bruteforce, opt_flow, opt_single_server
 from cachecomp.strategies import (
@@ -324,8 +324,8 @@ ABACD = parse_trace("a\nb\na\nc\nd\n")  # nodes a=0, b=1, c=2, d=3
 class TestMisfitDecisions:
     """Paid decisions that do not fit the trace are rejected, naming the
     first 1-based request they do not fit, by every walk of them: the
-    event log with ``ValueError``, and the certified replay, the served-set
-    walk and the bound check with ``CertificateError``.  Each test is one
+    event log with ``ValueError``, and the certified replay, the certificate
+    export and the bound check with ``CertificateError``.  Each test is one
     row of the table, run through all four."""
 
     @staticmethod
@@ -341,7 +341,7 @@ class TestMisfitDecisions:
             _replay(misfit, [1] * len(paid))  # unit raises pass every fitting move's checks
         certified = run_greedydual_certified(trace, 2)._replace(result=misfit)
         with pytest.raises(CertificateError, match=exact):
-            list(served_steps(certified))
+            write_certificate(certified, io.StringIO())
         with pytest.raises(CertificateError, match=exact):
             check_primal_dual_bound(certified, 2)
 
@@ -377,7 +377,7 @@ class TestMisfitDecisions:
             _replay(flushed, [1])
         certified = run_greedydual_certified(ABACD, 2)._replace(result=flushed)
         with pytest.raises(CertificateError, match=r"^request 4 evicts an unserved node$"):
-            list(served_steps(certified))
+            write_certificate(certified, io.StringIO())
 
     @pytest.mark.parametrize(
         "message",

@@ -61,7 +61,6 @@ _OWNERS = {
             "SimulationResult",
             "parse_strategy",
             "run",
-            "run_greedydual",
         ),
         "sweep": (
             "RatioFamily",

@@ -17,7 +17,7 @@ the offline cost with h servers.
 GreedyDual is a primal-dual algorithm and its labels are this dual in
 other coordinates.  Each uniform lowering of the labels on a miss at
 request n is a uniform raise of {a[i] : i < n, i unserved} and
-{b[1..n]}, so the lazy label offset of ``strategies.run_greedydual`` is
+{b[1..n]}, so the lazy label offset of ``strategies._label_loop`` is
 the cumulative raise.  With R the final offset,
 
     b[j] = R - (offset at the start of request j)
@@ -55,16 +55,16 @@ each request only the largest later b at its own node and the largest at
 any other node bind.
 
 The dual is stored once, as the final (a, b) in ``CertifiedRun.dual``;
-the per-step duals are only how the proof goes.  ``CertifiedRun.history``
-keeps one integer per request, the cumulative raise after it, and the
-served multiset is not kept at all.  Each request changes it by at most
-one removal and one insertion, so one O(N) walk of the paid decisions,
-``_walk_decisions`` called with ``flushes=False`` and
-``error=CertificateError``, rebuilds it in request order as a dict of
-``(i, moved)`` pairs for ``check_primal_dual_bound`` (its final state)
-and ``write_certificate`` (each step's ``S=`` text).  Every walk raises
-``CertificateError`` on decisions that break the placement rule, and the
-certified run holds O(N + k) memory.
+the per-step duals are only how the proof goes.  ``history`` keeps one
+integer per request, the cumulative raise after it, the policy is the
+suffix of ``result.strategy``, and the served multiset is not kept: one
+O(N) walk of the paid decisions, ``_walk_decisions`` with
+``flushes=False`` and ``error=CertificateError``, rebuilds it in request
+order for ``check_primal_dual_bound`` (its final state) and
+``write_certificate`` (each step's ``S=`` text), so the certified run
+holds O(N + k) memory.  Both raise ``CertificateError`` on decisions
+that break the placement rule, and on a dual or history that does not
+have one entry per request of the trace.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ import heapq
 from collections.abc import Iterator
 from typing import NamedTuple, TextIO
 
-from .strategies import FREE, HIT, MAX_LOWER, MOVE, SimulationResult, _label_loop, _walk_decisions
+from .strategies import FREE, HIT, MAX_LOWER, MIN_LOWER, MOVE, SimulationResult
+from .strategies import _label_loop, _walk_decisions
 from .trace import RequestTrace, _Record
 
 __all__ = [
@@ -119,11 +120,11 @@ class DualSolution(_Record):
 
 
 class CertifiedRun(NamedTuple):
-    """A certified GreedyDual run; ``result`` holds its trace and k."""
+    """A certified GreedyDual run; ``result`` holds its trace, k and
+    policy (the strategy name's suffix)."""
 
     result: SimulationResult
     dual: DualSolution
-    relabel: str
     history: tuple[int, ...]  # the cumulative raise after each request
     relabels: tuple[tuple[int, int], ...]  # (1-based request, raise amount)
 
@@ -133,28 +134,26 @@ def run_greedydual_certified(
     k: int,
     relabel: str = MAX_LOWER,
 ) -> CertifiedRun:
-    """Run GreedyDual and certify it; see the module docstring.
-
-    ``strategies.run_greedydual``'s label loop makes every decision and
-    records, at each paid move, the label offset it lowers to.  One replay
-    of those decisions, read off the served-set walk, rebuilds (a, b) and
-    raises ``CertificateError`` if an invariant fails at any request.
-    """
+    """Run ``greedydual:<relabel>`` (``relabel`` is "max" or "min") and
+    certify it; see the module docstring.  The label engine records, at
+    each paid move, the offset it lowers to, and one replay of those
+    decisions rebuilds (a, b), raising ``CertificateError`` if an
+    invariant fails at any request."""
+    if relabel not in (MAX_LOWER, MIN_LOWER):
+        raise ValueError(f"unknown relabel policy {relabel!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     levels: list[int] = []
-    return _replay(_label_loop(trace, k, relabel, levels=levels), levels)
+    return _replay(_label_loop(trace, k, f"greedydual:{relabel}", levels=levels), levels)
 
 
 def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
-    """Certify the paid decisions of the GreedyDual run ``result`` (on its
-    trace, with its k and policy) given ``levels``, the label offset after
-    each paid move.  The offset is the cumulative raise.  The replay keeps
-    it after each request as ``offsets``, so that once request n has
-    relabelled, raised = offsets[n] and the current b[j] for j <= n is
-    raised - offsets[j-1]; ``offsets[1:]`` is the run's ``history``.
-    Each request's outcome, the request that leaves S there and the
-    served multiset come from ``_walk_decisions``; H >= 0 is checked as
-    each request leaves S: when a hit supersedes it, when it is evicted,
-    or at the end."""
+    """Certify the GreedyDual run ``result`` given ``levels``, the label
+    offset (the cumulative raise) after each paid move.  ``offsets`` holds
+    it after each request, so once request n has relabelled, raised =
+    offsets[n] and b[j] for j <= n is raised - offsets[j-1];
+    ``offsets[1:]`` is the run's ``history``.  H >= 0 is checked as each
+    request leaves S: superseded by a hit, evicted, or at the end."""
     trace = result.trace
     n = len(trace)
     requests, weights = trace.requests, trace.weights
@@ -198,7 +197,6 @@ def _replay(result: SimulationResult, levels: list[int]) -> CertifiedRun:
     return CertifiedRun(
         result=result,
         dual=DualSolution(tuple(raised - x for x in left), tuple(b)),
-        relabel=result.strategy.partition(":")[2],
         history=tuple(offsets[1:]),
         relabels=tuple(relabels),
     )
@@ -270,6 +268,14 @@ def check_feasibility(dual: DualSolution, trace: RequestTrace) -> list[Violation
 check_feasibility_fast = check_feasibility  # the name the benchmark's tracer wraps
 
 
+def _check_lengths(run: CertifiedRun) -> None:
+    """Refuse a run whose dual or history was not built on its trace."""
+    n = len(run.result.trace)
+    for what, m in ("dual.n", run.dual.n), ("len(history)", len(run.history)):
+        if m != n:
+            raise CertificateError(f"{what} is {m} but the trace has {n} requests")
+
+
 def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
     """True iff at termination the paid distance satisfies
 
@@ -287,6 +293,7 @@ def check_primal_dual_bound(run: CertifiedRun, h: int) -> bool:
     k = result.k
     if not 1 <= h <= k:
         raise ValueError("need 1 <= h <= k")
+    _check_lengths(run)
     dc = dual_cost(run.dual, h)
     served: dict[int, tuple[int, int]] = {}
     walk = _walk_decisions(result.trace, k, result.paid, flushes=False, error=CertificateError)
@@ -306,11 +313,12 @@ def _certificate_lines(run: CertifiedRun) -> Iterator[str]:
     ``0*(k - |S|)`` while servers are unplaced, then the previous step's
     ``i:moved`` tokens with the entry that leaves S cut and the new
     entry's appended."""
+    _check_lengths(run)
     result = run.result
     trace = result.trace
     yield "cachecomp-certificate 1\n"
     yield f"k {result.k}\n"
-    yield f"policy {run.relabel}\n"
+    yield f"policy {result.strategy.partition(':')[2]}\n"
     yield f"requests {run.dual.n}\n"
     yield f"cost {result.total_cost}\n"
     yield "labels " + " ".join(trace.labels) + "\n"

@@ -8,27 +8,21 @@ pays for every node it unplaces.
 
 Each engine only decides: it walks the trace with O(1) or O(log k) work
 per request and records the paid decisions.  LRU and FIFO share an O(1)
-recency engine.  Balance runs on GreedyDual's label engine, as its
-min-lowering with ties by server id (see ``_label_loop``).
+recency engine.  Balance, ``greedydual:max`` and ``greedydual:min`` are
+the three members of GreedyDual's label engine, ``_label_loop``, which
+takes the member's name; ``run`` is the one way in for all of them.
 Flush-when-full, which flushes at every k-phase boundary after the
 first, is read off ``phases.partition`` (``fwf_cost``).  Randomized
-marking is a phase stream and a replay: ``mark_stream`` records each
-k-phase's opening cache and first requests, from the k-phase loop of
-``partition``, and ``replay_mark`` draws one seed's evictions from it,
-so a sweep builds one stream per k for all its trials.
-``lru_cost_profile`` gives LRU's cost for every k from one
-stack-distance pass on any weights: a reuse misses iff at least k other
-nodes were requested since its node's last request, and each such miss
-means the node was evicted once in between; after its last request a
-node is evicted iff it is not among the k most recently requested.
+marking is a phase stream (``mark_stream``) and a replay per seed
+(``replay_mark``), so a sweep builds one stream per k for all its
+trials.  ``lru_cost_profile`` gives LRU's cost for every k from one
+stack-distance pass on any weights.
 Sweeps read only the cost, so they never build a per-request log;
 ``SimulationResult.events`` is expanded from the decisions on first
-access.  It and ``dualcert``'s replay, bound check, served steps and
-certificate read the decisions through ``_walk_decisions``, their one
-fit check and the one holder of the served set S, which yields each
-request's outcome beside S.  A placed server is never
-unplaced except by a flush, which unplaces them all, so the lowest
-unplaced server id is always the number of servers placed.
+access.  It and ``dualcert``'s replay, bound check and certificate
+read the decisions through ``_walk_decisions``, their one fit check and
+the one holder of the served set S, which yields each request's outcome
+beside S.
 
 Strategies are plain names, canonicalized by ``parse_strategy``;
 ``UNIT_WEIGHT_TWINS`` records which of them decide alike on unit
@@ -63,7 +57,6 @@ __all__ = [
     "UNIT_WEIGHT_TWINS",
     "parse_strategy",
     "run",
-    "run_greedydual",
     "lru_cost_profile",
     "mark_stream",
     "replay_mark",
@@ -82,7 +75,7 @@ MIN_LOWER = "min"  # lower as little as allowed (Balance/FIFO-like)
 STRATEGY_NAMES = ("lru", "fifo", "fwf", "balance", "mark", "greedydual:max", "greedydual:min")
 
 # On unit weights each of these strategies makes exactly the decisions of
-# its twin: GreedyDual's policies are LRU and FIFO (see ``run_greedydual``),
+# its twin: GreedyDual's policies are LRU and FIFO (see ``_label_loop``),
 # and Balance, whose key is then the number of nodes a server has served,
 # moves its servers round-robin by id, as FIFO does.
 UNIT_WEIGHT_TWINS = {"greedydual:max": "lru", "greedydual:min": "fifo", "balance": "fifo"}
@@ -109,13 +102,11 @@ class Event(NamedTuple):
 class SimulationResult(_Record):
     """A run: its cost and paid decisions, ``(request index, evicted node)``
     per move and ``(index, None)`` per flush.  The event log is expanded
-    from these on first access, and the final placement from the log, so
-    neither costs O(k) unless the placement is read.  The repr omits the
-    trace."""
+    from these on first access.  The repr omits the trace."""
 
     _fields = ("strategy", "k", "total_cost", "paid", "trace")
     _hidden = ("trace",)
-    __slots__ = (*_fields, "__dict__")  # the dict holds the cached properties
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached event log
 
     def __init__(
         self,
@@ -149,22 +140,6 @@ class SimulationResult(_Record):
             held += weights[v]
             events.append(Event(i, v, FREE))
         return tuple(events)
-
-    @cached_property
-    def final_nodes(self) -> tuple[int | None, ...]:
-        """Node per server id; None = never placed (or flushed, not refilled)."""
-        where: dict[int, int] = {}  # node -> server id
-        for e in self.events:
-            if e.kind == FREE:
-                where[e.node] = len(where)
-            elif e.kind == MOVE:
-                where[e.node] = where.pop(e.evicted)
-            elif e.kind == FLUSH:
-                where.clear()
-        node_of: list[int | None] = [None] * self.k
-        for v, s in where.items():
-            node_of[s] = v
-        return tuple(node_of)
 
 
 def _walk_decisions(
@@ -356,57 +331,35 @@ def fwf_cost(p: PhasePartition) -> int:
     return sum(p.weights[:-1])
 
 
-def run_greedydual(
-    trace: RequestTrace, k: int, relabel: str = MAX_LOWER
+def _label_loop(
+    trace: RequestTrace, k: int, name: str, levels: list[int] | None = None
 ) -> SimulationResult:
-    """GreedyDual in its direct label form.
+    """GreedyDual's label engine, run as the member ``name``:
+    ``greedydual:max``, ``greedydual:min`` or ``balance``.  Given
+    ``levels``, it appends the offset after each paid move.
 
     Each placed server s carries integer labels L[s] <= H[s].  A request to
     its node resets H[s] to the node weight; placement and moves reset both.
     On a miss with all servers placed, every label is lowered uniformly by
+    delta = min_s H[s] under "max" (LRU-like: as much as allowed), or by
+    delta = min_s L[s] under "min" and Balance (as little as allowed).
+    Then some server has L <= 0, and the victim is the one with minimal H
+    (then earliest last touch) under "max", minimal L (then earliest last
+    move) under "min", or minimal L (then least server id) under Balance.
+    The first two tie-breaks make the unit-weight runs reproduce LRU and
+    FIFO exactly; under Balance a stored L telescopes to the weight of the
+    server's node plus the distance it has traveled, Balance's key.
 
-        delta = min_s H[s]   (relabel="max", LRU-like: as much as allowed)
-        delta = min_s L[s]   (relabel="min", Balance-like: as little as allowed)
-
-    after which some server has L <= 0 and may be evicted.  Among eligible
-    servers the victim is the one with minimal H (then earliest last touch)
-    under "max", or minimal L (then earliest last move) under "min"; these
-    tie-breaks make the unit-weight runs reproduce LRU and FIFO exactly.
-    Balance is "min" with ties by server id instead; ``run("balance")``
-    runs it, and ``relabel`` accepts only "max" and "min".
-
-    Labels are kept lazily against a global offset, so a relabel is O(1);
-    observable behavior equals eager subtraction.
+    Labels are kept lazily against a global offset, so a relabel is O(1)
+    and lands the offset on the least stored label: the victim is the heap
+    minimum of (label, stamp, id).  Only moves change L; under "max" a hit
+    pushes a new H, and entries older than their server's last touch are
+    skipped.  The victim's entry is replaced by the moved server's in
+    place.  No server is ever unplaced, so the next free id is the number
+    of servers placed.
     """
-    return _label_loop(trace, k, relabel)
-
-
-def _label_loop(
-    trace: RequestTrace,
-    k: int,
-    relabel: str,
-    by_id: bool = False,
-    levels: list[int] | None = None,
-) -> SimulationResult:
-    """The label loop of ``run_greedydual``.  Given ``levels``, it appends
-    the offset after each paid move.
-
-    A relabel lands the offset on the least stored H (or L), so the victim
-    is the heap minimum of (H, last touch, id) under "max" or (L, last
-    move, id) under "min".  Only moves change L; under "max" a hit pushes a
-    new H, and entries older than their server's last touch are skipped.
-    The victim's entry is replaced by the moved server's new one in place.
-
-    ``by_id`` runs Balance: "min" lowering with ties by server id, which
-    is then each entry's stamp and never changes.  A stored L telescopes
-    to the weight of the server's node plus the distance it has traveled,
-    which is Balance's key.
-    """
-    if relabel not in (MAX_LOWER, MIN_LOWER):
-        raise ValueError(f"unknown relabel policy {relabel!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    by_touch = relabel == MAX_LOWER
+    by_touch = name == f"greedydual:{MAX_LOWER}"
+    by_id = name == "balance"
     weights = trace.weights
     offset = 0
     where: dict[int, int] = {}  # node -> server id
@@ -438,7 +391,6 @@ def _label_loop(
         else:
             continue
         where[v] = s
-    name = "balance" if by_id else f"greedydual:{relabel}"
     return _result(name, k, trace, paid)
 
 
@@ -458,10 +410,8 @@ def run(
         raise ValueError("k must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    if name.startswith("greedydual:"):
-        return run_greedydual(trace, k, name.partition(":")[2])
-    if name == "balance":
-        return _label_loop(trace, k, MIN_LOWER, by_id=True)
+    if name == "balance" or name.startswith("greedydual:"):
+        return _label_loop(trace, k, name)
     if name in ("lru", "fifo"):
         paid = _run_recency(trace, k, refresh=name == "lru")
     elif name == "fwf":

@@ -152,11 +152,23 @@ def parse_trace(text: str) -> RequestTrace:
 
 
 def serialize_trace(trace: RequestTrace) -> str:
-    """Render a trace back into the text format (parse round-trips)."""
+    """Render a trace back into the text format, which ``parse_trace``
+    reads back with nodes renumbered by first request.  ``ValueError``
+    names the first requested label the format cannot carry: one that is
+    empty, holds whitespace or ``#``, is shared with another requested
+    node, or opens the text with the byte-order mark that parsing drops."""
+    nodes: dict[str, int] = {}  # label -> the requested node it names
     lines = []
     for v in trace.requests:
+        label = trace.labels[v]
+        if nodes.setdefault(label, v) != v:
+            raise ValueError(f"label {label!r} names two requested nodes")
+        if label.split() != [label] or "#" in label:
+            raise ValueError(f"label {label!r} is empty or holds whitespace or '#'")
+        if not lines and label.startswith("\ufeff"):
+            raise ValueError(f"label {label!r} opens with a byte-order mark")
         w = trace.weights[v]
-        lines.append(trace.labels[v] if w == 1 else f"{trace.labels[v]} {w}")
+        lines.append(label if w == 1 else f"{label} {w}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

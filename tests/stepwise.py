@@ -1,4 +1,5 @@
-"""Per-step duals of a certified GreedyDual run, rebuilt from its event log.
+"""Per-step duals of a certified GreedyDual run, and the final placement
+of any run, rebuilt from the event log.
 
 The library keeps only the final dual (a, b); the duals after each step
 are how the proof goes, so they live here as test oracles.  A raise
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from cachecomp.dualcert import CertifiedRun, DualSolution
-from cachecomp.strategies import HIT, MOVE
+from cachecomp.strategies import FLUSH, FREE, HIT, MOVE, SimulationResult
 
 
 class Entry(NamedTuple):
@@ -65,3 +66,21 @@ def served_b_sum(run: CertifiedRun, step: int, served: tuple[Entry, ...]) -> int
     S plus b[1] for each unplaced server, in that step's dual."""
     b = dual_at_step(run, step, served).b + (0,)  # b[n+1]: a server that moved at request n
     return (run.result.k - len(served)) * b[1] + sum(b[e.moved + 1] for e in served)
+
+
+def placement(result: SimulationResult) -> tuple[int | None, ...]:
+    """The node each server holds after the run, by server id, None for an
+    unplaced server.  A free placement takes the number of servers placed
+    since the last flush as its id, and a move keeps its server's id."""
+    where: dict[int, int] = {}  # node -> server id
+    for e in result.events:
+        if e.kind == FREE:
+            where[e.node] = len(where)
+        elif e.kind == MOVE:
+            where[e.node] = where.pop(e.evicted)
+        elif e.kind == FLUSH:
+            where.clear()
+    node_of: list[int | None] = [None] * result.k
+    for v, s in where.items():
+        node_of[s] = v
+    return tuple(node_of)

@@ -25,14 +25,7 @@ from cachecomp.offline import (
     opt_flow_profile,
 )
 from cachecomp.phases import mark_upper_bound, partition, verify_phase_shrink
-from cachecomp.strategies import (
-    MAX_LOWER,
-    MIN_LOWER,
-    mark_stream,
-    replay_mark,
-    run,
-    run_greedydual,
-)
+from cachecomp.strategies import mark_stream, replay_mark, run
 from cachecomp.sweep import (
     count_violators,
     parse_family,
@@ -237,8 +230,8 @@ def test_c09_greedydual_reductions():
         nodes = (3, 5, 10, 50)[trial % 4]
         k = trial % 8 + 1
         trace = generate_random(nodes, 150, 1, seed=77_000 + trial)
-        assert run_greedydual(trace, k, MAX_LOWER).events == run("lru", k, trace).events
-        assert run_greedydual(trace, k, MIN_LOWER).events == run("fifo", k, trace).events
+        assert run("greedydual:max", k, trace).events == run("lru", k, trace).events
+        assert run("greedydual:min", k, trace).events == run("fifo", k, trace).events
     report(9, "greedydual-reductions", "100 traces, both policies, event-for-event")
 
 

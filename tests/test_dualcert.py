@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -27,7 +28,7 @@ from cachecomp.strategies import (
     MIN_LOWER,
     SimulationResult,
     _label_loop,
-    run_greedydual,
+    run,
 )
 from cachecomp.trace import RequestTrace, generate_random, parse_trace
 from stepwise import dual_at_step, served_b_sum, snapshots
@@ -195,9 +196,8 @@ class TestCertifiedRun:
         for trial in range(80):
             t, k, policy = random_case(trial, rng)
             cert = run_greedydual_certified(t, k, policy)
-            label = run_greedydual(t, k, policy)
+            label = run(f"greedydual:{policy}", k, t)
             assert cert.result.events == label.events
-            assert cert.result.final_nodes == label.final_nodes
             assert cert.result.total_cost == label.total_cost
 
     def test_b_monotone_nonnegative(self):
@@ -373,7 +373,7 @@ class TestReplayChecks:
     def test_corrupted_input_rejected(self, text, k, corrupt, message):
         t = parse_trace(text)
         levels = []
-        result = _label_loop(t, k, MAX_LOWER, levels=levels)
+        result = _label_loop(t, k, "greedydual:max", levels=levels)
         _replay(result, levels)  # the uncorrupted run passes
         bad_result, bad_levels = corrupt(result, levels)
         with pytest.raises(CertificateError, match=message):
@@ -390,7 +390,7 @@ class TestReplayChecks:
         assume(distinct >= 2)
         k = data.draw(st.integers(1, min(6, distinct - 1)), label="k")
         levels = []
-        result = _label_loop(trace, k, policy, levels=levels)
+        result = _label_loop(trace, k, f"greedydual:{policy}", levels=levels)
         steps = snapshots(_replay(result, levels))
         j = data.draw(st.integers(0, len(levels) - 1), label="j")
         delta = data.draw(st.integers(1, 9), label="delta")
@@ -464,7 +464,7 @@ class TestBoundSlack:
         assume(distinct >= 2)
         k = data.draw(st.integers(1, min(6, distinct - 1)), label="k")
         levels = []
-        result = _label_loop(trace, k, policy, levels=levels)
+        result = _label_loop(trace, k, f"greedydual:{policy}", levels=levels)
         run = _replay(result, levels)
         assert_slack_identity(run)
         if not levels:
@@ -491,7 +491,7 @@ class TestBoundSlack:
         for trial in range(200):
             t, k, policy = random_case(trial, rng)
             levels = []
-            result = _label_loop(t, k, policy, levels=levels)
+            result = _label_loop(t, k, f"greedydual:{policy}", levels=levels)
             steps = snapshots(_replay(result, levels))
             for m in range(len(levels)):
                 cases = [("raise", result, levels[:m] + [x + 1 for x in levels[m:]])]
@@ -574,7 +574,7 @@ class TestExport:
         assert sum(1 for line in text.splitlines() if line.startswith("step ")) == 4
 
     # sha256 of export_certificate, recorded with the standalone certified
-    # simulation that preceded the replay of run_greedydual's event log
+    # simulation that preceded the replay of the label engine's event log
     @pytest.mark.parametrize(
         "nodes, length, wmax, seed, k, policy, digest",
         [
@@ -633,7 +633,7 @@ class TestServedWalk:
         run = run_greedydual_certified(generate_random(10, 300, 9, seed=43), 3)
         assert check_primal_dual_bound(run, 2)
         write_certificate(run, io.StringIO())
-        assert run._fields == ("result", "dual", "relabel", "history", "relabels")
+        assert run._fields == ("result", "dual", "history", "relabels")
         assert not hasattr(run, "__dict__")
 
     def test_certifying_never_expands_the_event_log(self):
@@ -645,6 +645,34 @@ class TestServedWalk:
         assert text.getvalue().count("\nstep ") == 300
         assert check_primal_dual_bound(run, 2)
         assert "events" not in vars(run.result)
+
+
+class TestMismatchedLengths:
+    """Both certificate readers refuse a run whose dual or history was not
+    built on its trace, naming the mismatch, and write nothing."""
+
+    ABACD = parse_trace("a\nb\na\nc\nd\n")
+
+    def _refused(self, run, message):
+        exact = f"^{re.escape(message)}$"
+        out = io.StringIO()
+        with pytest.raises(CertificateError, match=exact):
+            write_certificate(run, out)
+        assert out.getvalue() == ""
+        for h in range(1, run.result.k + 1):
+            with pytest.raises(CertificateError, match=exact):
+                check_primal_dual_bound(run, h)
+
+    def test_short_history(self):
+        run = run_greedydual_certified(self.ABACD, 2)
+        cut = run._replace(history=run.history[:4])
+        self._refused(cut, "len(history) is 4 but the trace has 5 requests")
+
+    def test_result_of_a_longer_trace(self):
+        run = run_greedydual_certified(self.ABACD, 2)
+        longer = run_greedydual_certified(parse_trace("a\nb\na\nc\nd\na\nb\nc\nd\n"), 2)
+        swapped = run._replace(result=longer.result)
+        self._refused(swapped, "dual.n is 5 but the trace has 9 requests")
 
 
 class _CountingSink:

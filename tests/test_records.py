@@ -36,8 +36,8 @@ def _values():
          (2, 4, (0, 2), (1,), (2, 2)), True),
         (OptSchedule, ("predecessor", "cost", "k"), ((0, 0, 1), 3, 1), True),
         (DualSolution, ("a", "b"), ((0, 1), (0, 2)), True),
-        (CertifiedRun, ("result", "dual", "relabel", "history", "relabels"),
-         (result, cert.dual, "max", cert.history, cert.relabels), True),
+        (CertifiedRun, ("result", "dual", "history", "relabels"),
+         (result, cert.dual, cert.history, cert.relabels), True),
         (Violation, ("i", "j", "excess"), (None, 2, 1), True),
         (RatioFamily, ("kind", "param"), ("log", Fraction(4)), True),
         (SweepRow, ("k", "opt_cost", "num_phases", "avenew", "costs"),
@@ -98,8 +98,8 @@ def test_event_defaults():
     assert Event(0, 1, "hit") == Event(index=0, node=1, kind="hit", evicted=None, cost=0)
 
 
-def test_simulation_result_caches_events_and_placement():
+def test_simulation_result_caches_events():
     r = run("fwf", 2, TRACE)
     events = r.events
-    assert r.events is events and r.final_nodes is r.final_nodes
-    assert set(vars(r)) == {"events", "final_nodes"}
+    assert r.events is events
+    assert set(vars(r)) == {"events"}

@@ -29,9 +29,9 @@ from cachecomp.strategies import (
     parse_strategy,
     replay_mark,
     run,
-    run_greedydual,
 )
 from cachecomp.trace import generate_cyclic, generate_random, parse_trace, serialize_trace
+from stepwise import placement
 
 ABCA = parse_trace("a\nb\nc\na\n")
 
@@ -115,6 +115,15 @@ class TestFwf:
         # c flushes, then c and d place freely, then a hit
         assert [e.kind for e in r.events] == [FREE, FREE, FLUSH, FREE, FREE, HIT]
         assert r.total_cost == 2
+
+    def test_flush_after_a_move_pays_the_held_weights(self):
+        # no engine both moves and flushes, so the decisions are built by hand:
+        # c's move evicts a (5), then d's flush unplaces b and c (2 + 3)
+        t = parse_trace("a 5\nb 2\nc 3\nd\n")
+        r = SimulationResult("fwf", 2, 10, ((2, 0), (3, None)), t)
+        assert [(e.kind, e.cost) for e in r.events] == [
+            (FREE, 0), (FREE, 0), (MOVE, 5), (FLUSH, 5), (FREE, 0)
+        ]
 
 
 class TestBalance:
@@ -260,14 +269,14 @@ class TestGreedyDual:
     def test_weighted_relabel_forces_cheap_eviction(self):
         t = parse_trace("a 5\nb\nc\n")
         for policy in (MAX_LOWER, MIN_LOWER):
-            r = run_greedydual(t, 2, policy)
+            r = run(f"greedydual:{policy}", 2, t)
             assert r.total_cost == 1
             assert r.events[-1].kind == MOVE and r.events[-1].evicted == 1
 
     def test_single_server_matches_offline_single(self):
         for seed in range(8):
             t = generate_random(4, 60, 6, seed=seed)
-            r = run_greedydual(t, 1)
+            r = run("greedydual", 1, t)
             assert r.total_cost == opt_single_server(t)
             for e in r.events[1:]:
                 assert e.kind in (MOVE, HIT)
@@ -276,19 +285,21 @@ class TestGreedyDual:
         for seed in range(20):
             t = generate_random(6, 120, 1, seed=seed)
             k = seed % 4 + 1
-            assert run_greedydual(t, k, MAX_LOWER).events == run("lru", k, t).events
+            assert run("greedydual:max", k, t).events == run("lru", k, t).events
 
     def test_fifo_reduction_on_unit_weights(self):
         for seed in range(20):
             t = generate_random(6, 120, 1, seed=seed)
             k = seed % 4 + 1
-            assert run_greedydual(t, k, MIN_LOWER).events == run("fifo", k, t).events
+            assert run("greedydual:min", k, t).events == run("fifo", k, t).events
 
     def test_bad_policy_rejected(self):
         # Balance runs on this engine, but its tie rule is no public policy
         for policy in ("most", "balance"):
-            with pytest.raises(ValueError):
-                run_greedydual(ABCA, 2, policy)
+            with pytest.raises(ValueError, match="unknown relabel policy"):
+                run_greedydual_certified(ABCA, 2, policy)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            run_greedydual_certified(ABCA, 0)
 
 
 class TestResultInvariants:
@@ -467,7 +478,7 @@ class TestGoldenPins:
                 t = generate_random(nodes, 250, wmax, seed=1000 * nodes + 10 * wmax + k)
                 r = run(spec, k, t, seed=k)
                 rows = [(e.index, e.node, e.kind, e.evicted, e.cost) for e in r.events]
-                h.update(repr((rows, r.final_nodes, r.total_cost)).encode())
+                h.update(repr((rows, placement(r), r.total_cost)).encode())
         assert h.hexdigest() == digest
 
     @pytest.mark.parametrize(

@@ -457,7 +457,6 @@ class TestSharedWork:
         for name, twin in UNIT_WEIGHT_TWINS.items():
             got, want = run(name, k, trace), run(twin, k, trace)
             assert got.events == want.events
-            assert got.final_nodes == want.final_nodes
             assert got.total_cost == want.total_cost
 
     def test_lru_profile_edges(self):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +164,36 @@ class TestRoundTrip:
 
     def test_round_trip_empty(self):
         assert parse_trace(serialize_trace(parse_trace(""))) == parse_trace("")
+
+    @pytest.mark.parametrize(
+        "requests, labels, message",
+        [
+            # "x 5" would read back as node x of weight 5, "a#b" as node a
+            ((0, 1, 0), ("x 5", "a#b"), "label 'x 5' is empty or holds whitespace or '#'"),
+            # the first in request order is named, not the first node
+            ((1, 0), ("a#b", "b\tc"), "label 'b\\tc' is empty or holds whitespace or '#'"),
+            ((0, 1), ("a", "b#"), "label 'b#' is empty or holds whitespace or '#'"),
+            # an empty label's line is blank, so its request would vanish
+            ((0, 1, 0), ("a", ""), "label '' is empty or holds whitespace or '#'"),
+            # two nodes named alike would read back as one, at one weight
+            ((0, 1, 2), ("a", "b", "a"), "label 'a' names two requested nodes"),
+            # parsing drops a byte-order mark that opens the text
+            ((0, 1), ("\ufeffa", "b"), "label '\\ufeffa' opens with a byte-order mark"),
+        ],
+        ids=["space", "tab-first-requested", "hash", "empty", "shared", "byte-order-mark"],
+    )
+    def test_unwritable_label_rejected(self, requests, labels, message):
+        t = RequestTrace(requests, (1,) * len(labels), labels)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            serialize_trace(t)
+
+    def test_writable_labels_round_trip(self):
+        # a shared label on a node never requested, and a byte-order mark
+        # after the first line, are written and read back unchanged
+        t = RequestTrace((0, 1, 0), (3, 1, 2), ("a", "\ufeffb", "a"))
+        back = parse_trace(serialize_trace(t))
+        assert back.requests == t.requests and back.labels == t.labels[:2]
+        assert back.weights == t.weights[:2]
 
 
 class TestValidation:
